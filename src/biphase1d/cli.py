@@ -16,9 +16,9 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ConfigError, SolverError
-from .macro import MacroState, run_macro
+from .macro import run_macro
 from .materials import WEIGHTINGS, MaterialPair, PowerLaw
-from .meso import MesoState, run_meso
+from .meso import run_meso
 from .stepping import StepPolicy
 
 _DEFAULTS = {
@@ -98,6 +98,9 @@ def _build_config(raw):
         raise ConfigError(f"key 'weighting': must be one of {WEIGHTINGS}, got {weighting!r}")
 
     cells = _as_int(merged, "cells", 4)
+    if scheme != "macro" and cells % 2:
+        raise ConfigError(f"key 'cells': the meso scheme alternates phases, "
+                          f"so it needs an even count, got {cells}")
     t_end = _as_float(merged, "t_end", 0.0)
     cadence = _as_int(merged, "cadence", 1)
     if merged["coarse_K"] is None:
@@ -145,13 +148,18 @@ def parse_config(source, overrides=None):
         text = str(source)
         if text in PRESETS:
             raw = {"preset": text}
-        elif Path(text).is_file():
-            raw = _load_json(Path(text).read_text())
         elif text.lstrip().startswith("{"):
             raw = _load_json(text)
         else:
-            raise ConfigError(f"{text!r} is neither a preset "
-                              f"({', '.join(sorted(PRESETS))}), a config file, nor inline JSON")
+            # read rather than probe with is_file(): a name the OS rejects,
+            # such as an overlong one, or a binary file is then not a config file
+            try:
+                contents = Path(text).read_text()
+            except (OSError, UnicodeDecodeError):
+                raise ConfigError(f"{text!r} is neither a preset "
+                                  f"({', '.join(sorted(PRESETS))}), a config file, "
+                                  "nor inline JSON") from None
+            raw = _load_json(contents)
 
     preset = raw.pop("preset", None)
     if preset is not None:
@@ -188,52 +196,31 @@ def _write_table(path, names, columns):
             fh.write(_fmt_row(row) + "\n")
 
 
-_CELL, _NODE = "cell", "node"
-
-_STATE_COLUMNS = {
-    MesoState: {
-        "rho": (_CELL, lambda s: s.rho),
-        "c": (_CELL, lambda s: s.c),
-        "alpha": (_CELL, diagnostics.estimate_alpha_meso),
-        "u": (_NODE, lambda s: s.u),
-    },
-    MacroState: {
-        "rho": (_CELL, lambda s: s.rho),
-        "alpha": (_CELL, lambda s: s.alpha),
-        "rho_plus": (_CELL, lambda s: s.rho_plus),
-        "rho_minus": (_CELL, lambda s: s.rho_minus),
-        "u": (_NODE, lambda s: s.u),
-    },
-}
-
-_DEFAULT_COLUMNS = {MesoState: ("rho", "c"), MacroState: ("rho", "rho_plus", "rho_minus")}
-
 _COARSE_COLUMNS = ("alpha", "rho", "rho_plus", "rho_minus", "u")
 
 
 def write_fields(obj, path, columns=None):
     """Write a state or coarse-field snapshot as a plain-text table.
 
-    Cell quantities are listed at cell midpoints, node quantities at the
-    interfaces (both mapped onto the torus); the requested columns must
-    therefore all live at the same location.
+    Columns are read by name: a state's attributes (``rho`` when none are
+    given), a coarse field's ``<name>_hat`` window averages (all of them
+    when none are given).  A state's velocity ``u`` is listed at the
+    interfaces, every other quantity at cell midpoints (both mapped onto
+    the torus); the requested columns must therefore all live at the same
+    location.
     """
     if isinstance(obj, diagnostics.CoarseFields):
         columns = columns or _COARSE_COLUMNS
-        getters = {"alpha": obj.alpha_hat, "rho": obj.rho_hat,
-                   "rho_plus": obj.rho_plus_hat, "rho_minus": obj.rho_minus_hat,
-                   "u": obj.u_hat}
-        cols = [obj.centers] + [getters[name] for name in columns]
+        cols = [obj.centers] + [getattr(obj, name + "_hat") for name in columns]
         _write_table(path, ("x",) + tuple(columns), cols)
         return
-    column_map = _STATE_COLUMNS[type(obj)]
-    columns = columns or _DEFAULT_COLUMNS[type(obj)]
-    locations = {column_map[name][0] for name in columns}
-    if len(locations) != 1:
+    columns = columns or ("rho",)
+    on_nodes = {name == "u" for name in columns}
+    if len(on_nodes) != 1:
         raise ValueError("cannot mix cell and node quantities in one file")
     grid = obj.grid
-    x = (grid.midpoints if locations == {_CELL} else grid.node_x) % grid.length
-    cols = [x] + [np.asarray(column_map[name][1](obj), dtype=float) for name in columns]
+    x = (grid.node_x if on_nodes == {True} else grid.midpoints) % grid.length
+    cols = [x] + [np.asarray(getattr(obj, name), dtype=float) for name in columns]
     _write_table(path, ("x",) + tuple(columns), cols)
 
 
@@ -252,13 +239,11 @@ def write_diagnostics(records, path):
 
 
 def _write_comparison(out, coarse_meso, coarse_macro, norms, config, clamp_events):
-    pairs = (("alpha", "alpha_hat"), ("rho", "rho_hat"), ("rho_plus", "rho_plus_hat"),
-             ("rho_minus", "rho_minus_hat"), ("u", "u_hat"))
     names = ["x"]
     cols = [coarse_meso.centers]
-    for short, attr in pairs:
+    for short in _COARSE_COLUMNS:
         names += [f"{short}_meso", f"{short}_macro"]
-        cols += [getattr(coarse_meso, attr), getattr(coarse_macro, attr)]
+        cols += [getattr(coarse_meso, short + "_hat"), getattr(coarse_macro, short + "_hat")]
     _write_table(out / "comparison_windows.dat", names, cols)
 
     with open(out / "comparison_report.txt", "w", newline="\n") as fh:
@@ -266,8 +251,8 @@ def _write_comparison(out, coarse_meso, coarse_macro, norms, config, clamp_event
                  f"weighting={config.weighting}, cells={config.cells}, "
                  f"t_end={config.t_end:g}\n")
         fh.write("# field l1 l2 linf rel_l1 rel_l2 rel_linf\n")
-        for short, attr in pairs:
-            n = norms[attr]
+        for short in _COARSE_COLUMNS:
+            n = norms[short + "_hat"]
             fh.write(f"{short} " + _fmt_row((n["l1"], n["l2"], n["linf"],
                                              n["rel_l1"], n["rel_l2"], n["rel_linf"])) + "\n")
         fh.write(f"# macro clamp_events = {clamp_events}\n")
@@ -276,29 +261,31 @@ def _write_comparison(out, coarse_meso, coarse_macro, norms, config, clamp_event
 # ---------------------------------------------------------------------------
 # orchestration
 
+# the field files of each scheme: (file suffix, columns)
+_FIELD_FILES = {
+    "meso": (("density", ("rho",)), ("velocity", ("u",)), ("alpha", ("alpha",))),
+    "macro": (("density", ("rho",)), ("velocity", ("u",)), ("alpha", ("alpha",)),
+              ("phase_densities", ("rho_plus", "rho_minus"))),
+}
+
+
 def _execute(config, out):
     """Run the configured scheme(s) and write everything; returns the
     comparison norms when both schemes ran."""
     with open(out / "config.json", "w", newline="\n") as fh:
         json.dump(config.raw, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # looked up per call, so a runner replaced on this module is the one run
+    runners = {"meso": run_meso, "macro": run_macro}
     results = {}
-    if config.scheme in ("meso", "both"):
-        state, records = run_meso(config)
-        write_fields(state, out / "meso_density.dat", columns=("rho",))
-        write_fields(state, out / "meso_velocity.dat", columns=("u",))
-        write_fields(state, out / "meso_alpha.dat", columns=("alpha",))
-        write_diagnostics(records, out / "meso_diagnostics.dat")
-        results["meso"] = (state, records)
-    if config.scheme in ("macro", "both"):
-        state, records = run_macro(config)
-        write_fields(state, out / "macro_density.dat", columns=("rho",))
-        write_fields(state, out / "macro_velocity.dat", columns=("u",))
-        write_fields(state, out / "macro_alpha.dat", columns=("alpha",))
-        write_fields(state, out / "macro_phase_densities.dat",
-                     columns=("rho_plus", "rho_minus"))
-        write_diagnostics(records, out / "macro_diagnostics.dat")
-        results["macro"] = (state, records)
+    for scheme, files in _FIELD_FILES.items():
+        if config.scheme not in (scheme, "both"):
+            continue
+        state, records = runners[scheme](config)
+        for suffix, columns in files:
+            write_fields(state, out / f"{scheme}_{suffix}.dat", columns=columns)
+        write_diagnostics(records, out / f"{scheme}_diagnostics.dat")
+        results[scheme] = (state, records)
     if config.scheme == "both":
         coarse_meso = diagnostics.coarse_grain(results["meso"][0], config.coarse_K)
         coarse_macro = diagnostics.coarse_grain(results["macro"][0], config.coarse_K)
@@ -319,7 +306,7 @@ def run_experiment(config):
     try:
         _execute(config, out)
     except SolverError as exc:
-        records = exc.diagnostics.get("records") if hasattr(exc, "diagnostics") else None
+        records = exc.diagnostics.get("records")
         if records:
             write_diagnostics(records, out / "partial_diagnostics.dat")
         with open(out / "FAILED", "w", newline="\n") as fh:

@@ -1,8 +1,9 @@
 """Conservation functionals, coarse-graining, field comparison norms,
 and the empirical-measure checks for the sharp-interface runs.
 
-All functions are pure; they duck-type the two state kinds (a state with
-``mass_plus`` is treated as homogenized, otherwise as sharp-interface).
+All functions are pure and read a state only through the view both
+state kinds share: ``weight``, ``rho_plus``, ``rho_minus``, ``rho``,
+``cell_mass``, ``u``, ``grid``, ``t`` and ``dissipated``.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ class DiagnosticsRecord:
     rho_max: float
     dx_min: float
     dt_used: float
-    clamp_events: int = 0
 
 
 @dataclass
@@ -62,22 +62,9 @@ class TwoPointReport:
     concentration: np.ndarray
 
 
-def _is_macro(state):
-    return hasattr(state, "mass_plus")
-
-
-def _cell_fields(state):
-    """(weight, rho_plus-like, rho_minus-like, mixture rho) per cell."""
-    if _is_macro(state):
-        return state.alpha, state.rho_plus, state.rho_minus, state.rho
-    return state.c, state.rho, state.rho, state.rho
-
-
 def total_mass(state):
     """Sum of cell masses; for the homogenized state, of the phase masses."""
-    if _is_macro(state):
-        return float(np.sum(state.mass_plus + state.mass_minus))
-    return float(np.sum(state.rho * state.grid.cell_dx))
+    return float(np.sum(state.cell_mass))
 
 
 def total_energy(state, mat):
@@ -89,11 +76,10 @@ def total_energy(state, mat):
     viscous integral.
     """
     grid = state.grid
-    w = state.alpha if _is_macro(state) else state.c
     rho_mix = state.rho
     node_mass = node_density(rho_mix, grid) * grid.node_dx
     kinetic = 0.5 * float(np.sum(node_mass * np.asarray(state.u) ** 2))
-    internal = float(np.sum(mixture_potential(w, rho_mix, mat) * grid.cell_dx))
+    internal = float(np.sum(mixture_potential(state.weight, rho_mix, mat) * grid.cell_dx))
     total = kinetic + internal + state.dissipated
     return kinetic, internal, state.dissipated, total
 
@@ -112,7 +98,6 @@ def snapshot(state, mat, dt_used=0.0):
         rho_max=float(np.max(rho_mix)),
         dx_min=float(np.min(state.grid.cell_dx)),
         dt_used=dt_used,
-        clamp_events=getattr(state, "clamp_events", 0),
     )
 
 
@@ -145,7 +130,7 @@ def _window_sums(state, K):
     if K < 1 or K >= J:
         raise ValueError(f"coarse window count must satisfy 1 <= K < J, got {K}")
     h = L / K
-    w, rho_p, rho_m, _ = _cell_fields(state)
+    w, rho_p, rho_m = state.weight, state.rho_plus, state.rho_minus
     u_right = np.asarray(state.u, dtype=float)
     u_left = np.roll(u_right, 1)
     dx = grid.cell_dx

@@ -6,7 +6,15 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A numerical stage failed."""
+    """A numerical stage failed.
+
+    ``diagnostics`` holds the last attempted state pieces for post-mortem
+    inspection (for a failed run, the records written so far).
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class SingularSystemError(SolverError):
@@ -21,11 +29,4 @@ class SingularSystemError(SolverError):
 
 
 class StepFailure(SolverError):
-    """A time step could not be completed within the retry budget.
-
-    Carries the last attempted state pieces for post-mortem inspection.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """A time step could not be completed within the retry budget."""

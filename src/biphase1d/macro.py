@@ -9,10 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import diagnostics
 from .errors import StepFailure
 from .materials import mu_eff, p_eff, relaxation_rhs
-from .meso import RHO_SANE_MAX, RHO_SANE_MIN, riemann_density
+from .meso import check_density, riemann_density, run_scheme
 from .stepping import StaggeredGrid, lagrangian_step
 
 # below this distance from 0 or 1, a phase volume is too small to divide by
@@ -36,9 +35,18 @@ class MacroState:
     guard_events: int = 0
 
     @property
+    def weight(self):
+        """Phase-+ share of each cell: the volume fraction."""
+        return self.alpha
+
+    @property
+    def cell_mass(self):
+        return self.mass_plus + self.mass_minus
+
+    @property
     def rho(self):
         """Mixture density (M_+ + M_-)/dx."""
-        return (self.mass_plus + self.mass_minus) / self.grid.cell_dx
+        return self.cell_mass / self.grid.cell_dx
 
 
 def init_macro_riemann(J):
@@ -124,11 +132,7 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     guards = int(np.count_nonzero(~plus_ok & (state.mass_plus > 0))
                  + np.count_nonzero(~minus_ok & (state.mass_minus > 0)))
 
-    mix_new = (state.mass_plus + state.mass_minus) / dx_new
-    if np.any(mix_new < RHO_SANE_MIN) or np.any(mix_new > RHO_SANE_MAX):
-        raise StepFailure("mixture density left the sane range "
-                          f"[{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
-                          diagnostics={"t": state.t, "dt": out.dt_used})
+    check_density(state.cell_mass / dx_new, state.t, out.dt_used)
 
     return replace(state, grid=out.grid, u=out.u, alpha=alpha_new,
                    rho_plus=rho_p, rho_minus=rho_m,
@@ -139,23 +143,9 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
 
 
 def run_macro(config):
-    """Run the homogenized scheme to config.t_end (same loop contract as
-    the sharp-interface runner)."""
-    state = init_macro_riemann(config.cells)
-    records = [diagnostics.snapshot(state, config.mat, dt_used=0.0)]
-    steps = 0
-    try:
-        while state.t < config.t_end:
-            t_before = state.t
-            state = step_macro(state, config.mat, config.weighting, config.policy,
-                               dt_limit=config.t_end - state.t)
-            if config.t_end - state.t <= 1e-12 * max(1.0, config.t_end):
-                state.t = config.t_end
-            steps += 1
-            if steps % config.cadence == 0 or state.t >= config.t_end:
-                records.append(diagnostics.snapshot(state, config.mat,
-                                                    dt_used=state.t - t_before))
-    except StepFailure as failure:
-        failure.diagnostics["records"] = records
-        raise
-    return state, records
+    """Run the homogenized scheme from the Riemann datum to config.t_end."""
+    return run_scheme(init_macro_riemann(config.cells),
+                      lambda state, dt_limit: step_macro(state, config.mat,
+                                                         config.weighting, config.policy,
+                                                         dt_limit=dt_limit),
+                      config)

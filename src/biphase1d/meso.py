@@ -1,5 +1,9 @@
 """Sharp-interface two-fluid scheme: every cell holds a pure phase
-(color 0 or 1) that is transported exactly by the moving mesh."""
+(color 0 or 1) that is transported exactly by the moving mesh.
+
+The run loop and the density check that the homogenized scheme shares
+live here too.
+"""
 
 from dataclasses import dataclass, replace
 
@@ -17,12 +21,45 @@ RHO_SANE_MAX = 1e4
 
 @dataclass
 class MesoState:
+    """Sharp-interface state.  ``weight``, ``rho_plus``, ``rho_minus``,
+    ``cell_mass`` and ``alpha`` are the view it shares with MacroState."""
+
     grid: StaggeredGrid
     u: np.ndarray
     rho: np.ndarray
     c: np.ndarray
     t: float = 0.0
     dissipated: float = 0.0
+
+    @property
+    def weight(self):
+        """Phase-+ share of each cell: the color."""
+        return self.c
+
+    @property
+    def rho_plus(self):
+        return self.rho
+
+    @property
+    def rho_minus(self):
+        return self.rho
+
+    @property
+    def cell_mass(self):
+        return self.rho * self.grid.cell_dx
+
+    @property
+    def alpha(self):
+        """The windowed volume-fraction estimate of every cell."""
+        return diagnostics.estimate_alpha_meso(self)
+
+
+def check_density(rho, t, dt):
+    """Stop a run whose densities left the runtime envelope."""
+    if not np.all((rho >= RHO_SANE_MIN) & (rho <= RHO_SANE_MAX)):
+        raise StepFailure("density left the sane range "
+                          f"[{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
+                          diagnostics={"t": t, "dt": dt})
 
 
 def _check_purity(c):
@@ -58,30 +95,26 @@ def step_meso(state, mat, policy, dt_limit=None):
     mu_cells = mixture_viscosity(state.c, mat)
     out = lagrangian_step(state.grid, state.u, state.rho, mu_cells, p_cells,
                           policy, dt_limit=dt_limit)
-    if np.any(out.rho < RHO_SANE_MIN) or np.any(out.rho > RHO_SANE_MAX):
-        raise StepFailure("density left the sane range "
-                          f"[{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
-                          diagnostics={"t": state.t, "dt": out.dt_used})
+    check_density(out.rho, state.t, out.dt_used)
     return replace(state, grid=out.grid, u=out.u, rho=out.rho,
                    t=state.t + out.dt_used,
                    dissipated=state.dissipated + out.dissipation_increment)
 
 
-def run_meso(config):
-    """Run the sharp-interface scheme to config.t_end.
+def run_scheme(state, advance, config):
+    """Advance ``state`` to config.t_end with ``advance(state, dt_limit)``.
 
     Returns (final state, diagnostics records).  Records are emitted at
-    t = 0, every config.cadence accepted steps, and at t_end; the last
-    step is clamped so the run lands on t_end exactly.
+    the start, every config.cadence accepted steps, and at t_end; the last
+    step is clamped so the run lands on t_end exactly.  A StepFailure
+    leaves with the records taken so far in its diagnostics.
     """
-    state = init_meso_riemann(config.cells)
     records = [diagnostics.snapshot(state, config.mat, dt_used=0.0)]
     steps = 0
     try:
         while state.t < config.t_end:
             t_before = state.t
-            state = step_meso(state, config.mat, config.policy,
-                              dt_limit=config.t_end - state.t)
+            state = advance(state, config.t_end - state.t)
             if config.t_end - state.t <= 1e-12 * max(1.0, config.t_end):
                 state.t = config.t_end
             steps += 1
@@ -92,3 +125,11 @@ def run_meso(config):
         failure.diagnostics["records"] = records
         raise
     return state, records
+
+
+def run_meso(config):
+    """Run the sharp-interface scheme from the Riemann datum to config.t_end."""
+    return run_scheme(init_meso_riemann(config.cells),
+                      lambda state, dt_limit: step_meso(state, config.mat, config.policy,
+                                                        dt_limit=dt_limit),
+                      config)

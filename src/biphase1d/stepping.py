@@ -82,7 +82,6 @@ class StepPolicy:
 
 @dataclass
 class StepOutcome:
-    accepted: bool
     dt_used: float
     grid: StaggeredGrid
     u: np.ndarray
@@ -136,13 +135,11 @@ def advance_positions(grid, u_new, dt):
     with a smaller dt).  The total length telescopes and is carried over
     unchanged.
     """
-    new_x = grid.node_x + dt * np.asarray(u_new, dtype=float)
-    dx = np.empty_like(new_x)
-    dx[1:] = np.diff(new_x)
-    dx[0] = new_x[0] - new_x[-1] + grid.length
-    if np.any(dx <= 0):
+    try:
+        return StaggeredGrid(grid.node_x + dt * np.asarray(u_new, dtype=float),
+                             grid.length)
+    except ValueError:
         return None
-    return StaggeredGrid(new_x, grid.length)
 
 
 def update_cell_density(rho_old, dx_old, dx_new):
@@ -200,6 +197,5 @@ def lagrangian_step(grid, u_old, rho_cells, mu_cells, p_cells, policy, dt_limit=
     rho_new = update_cell_density(rho, grid.cell_dx, new_grid.cell_dx)
     du_dx = (u_new - np.roll(u_new, 1)) / grid.cell_dx
     dissipation = dt * float(np.sum(np.asarray(mu_cells) * du_dx**2 * grid.cell_dx))
-    return StepOutcome(accepted=True, dt_used=dt, grid=new_grid, u=u_new,
-                       rho=rho_new, dissipation_increment=dissipation,
-                       halvings=halvings)
+    return StepOutcome(dt_used=dt, grid=new_grid, u=u_new, rho=rho_new,
+                       dissipation_increment=dissipation, halvings=halvings)

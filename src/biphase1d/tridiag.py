@@ -3,15 +3,14 @@
 The implicit viscosity discretization couples each interface velocity to
 its two neighbours with periodic wrap-around, giving a tridiagonal matrix
 with two extra corner entries.  The corners are removed with a rank-one
-correction, leaving two ordinary tridiagonal solves that share one banded
-factorization.
+correction, leaving two ordinary tridiagonal solves that share one
+LAPACK ``dgtsv`` factorization.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SingularSystemError
 
@@ -50,20 +49,6 @@ class CyclicTridiagonalSystem:
         return self.diag * x + self.sub * np.roll(x, 1) + self.sup * np.roll(x, -1)
 
 
-def _locate_bad_pivot(diag, sub, sup):
-    """Thomas elimination on the corner-free part, reporting the first
-    pivot below the singularity floor (None if all pivots are fine)."""
-    n = diag.size
-    piv = diag[0]
-    if abs(piv) < _PIVOT_FLOOR:
-        return 0
-    for j in range(1, n):
-        piv = diag[j] - sub[j] * (sup[j - 1] / piv)
-        if abs(piv) < _PIVOT_FLOOR:
-            return j
-    return None
-
-
 def solve_cyclic_tridiagonal(system):
     """Solve the periodic tridiagonal system, O(n).
 
@@ -80,23 +65,17 @@ def solve_cyclic_tridiagonal(system):
     t_diag[0] -= gamma
     t_diag[-1] -= sub[0] * (sup[-1] / gamma)
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = t_diag
-    ab[2, :-1] = sub[1:]
-
-    b = np.zeros((n, 2))
+    b = np.zeros((n, 2), order="F")
     b[:, 0] = rhs
     b[0, 1] = gamma
     b[-1, 1] = sup[-1]
 
-    try:
-        yz = solve_banded((1, 1), ab, b, check_finite=False)
-    except LinAlgError as exc:
-        idx = _locate_bad_pivot(t_diag, sub, sup)
+    _, _, _, yz, info = dgtsv(sub[1:], t_diag, sup[:-1], b,
+                              overwrite_d=1, overwrite_b=1)
+    if info > 0:
         raise SingularSystemError(
-            f"singular cyclic tridiagonal system (pivot at row {idx})", index=idx
-        ) from exc
+            f"singular cyclic tridiagonal system (pivot at row {info - 1})",
+            index=info - 1)
     y, z = yz[:, 0], yz[:, 1]
 
     vy = y[0] + (sub[0] / gamma) * y[-1]
@@ -105,9 +84,10 @@ def solve_cyclic_tridiagonal(system):
         raise SingularSystemError("singular cyclic tridiagonal system "
                                   "(corner correction degenerate)", index=n - 1)
     x = y - (vy / vz) * z
-    if not np.all(np.isfinite(x)):
-        idx = _locate_bad_pivot(t_diag, sub, sup)
+    bad = ~np.isfinite(x)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
         raise SingularSystemError(
-            f"singular cyclic tridiagonal system (pivot at row {idx})", index=idx
-        )
+            f"singular cyclic tridiagonal system (non-finite solution at row {idx})",
+            index=idx)
     return x

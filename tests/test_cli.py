@@ -217,3 +217,51 @@ class TestMain:
         for j in (16, 64):
             cfg = json.loads((tmp_path / "s" / f"J{j}" / "config.json").read_text())
             assert cfg["coarse_K"] == 2
+
+
+class TestOddCells:
+    def test_meso_rejects_odd_cells(self, tmp_path, capsys):
+        for scheme in ("meso", "both"):
+            code = main(["run", "test1", "--cells", "5", "--scheme", scheme,
+                         "--out", str(tmp_path / scheme)])
+            assert code == 2
+            assert "even" in capsys.readouterr().err
+
+    def test_macro_accepts_odd_cells(self):
+        assert parse_config('{"cells": 5, "scheme": "macro"}').cells == 5
+
+
+class TestSourceKinds:
+    def test_long_inline_json(self):
+        text = json.dumps({"preset": "test1", "cells": 8, "t_end": 0.001,
+                           "output_dir": "x" * 300})
+        assert len(text) > 255
+        assert parse_config(text).cells == 8
+
+    def test_overlong_non_json_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="neither"):
+            parse_config("x" * 300)
+
+    def test_binary_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "blob.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigError, match="neither"):
+            parse_config(str(path))
+
+
+def test_python_dash_m_entry(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import biphase1d
+
+    env = {**os.environ, "PYTHONPATH": str(Path(biphase1d.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "biphase1d", "run", "test1",
+                           "--cells", "16", "--scheme", "meso",
+                           "--out", str(tmp_path / "m")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "m" / "meso_density.dat").is_file()
