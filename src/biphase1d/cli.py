@@ -9,7 +9,7 @@ and LF line endings, so reruns of the same config are byte-identical.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -230,12 +230,8 @@ _DIAG_HEADER = ("t", "mass", "E_kin", "E_int", "E_diss", "E_tot",
 
 def write_diagnostics(records, path):
     """Time series of the conservation functionals, one row per record."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# " + " ".join(_DIAG_HEADER) + "\n")
-        for r in records:
-            fh.write(_fmt_row((r.t, r.total_mass, r.kinetic_energy,
-                               r.internal_energy, r.dissipated, r.energy_total,
-                               r.rho_min, r.rho_max, r.dx_min, r.dt_used)) + "\n")
+    rows = np.array([astuple(r) for r in records]).reshape(-1, len(_DIAG_HEADER))
+    _write_table(path, _DIAG_HEADER, rows.T)
 
 
 def _write_comparison(out, coarse_meso, coarse_macro, norms, config, clamp_events):
@@ -269,23 +265,35 @@ _FIELD_FILES = {
 }
 
 
-def _execute(config, out):
-    """Run the configured scheme(s) and write everything; returns the
-    comparison norms when both schemes ran."""
+def _execute(config):
+    """Run the configured scheme(s) and write everything to
+    config.output_dir; returns the comparison norms when both schemes ran.
+    A SolverError propagates after leaving a FAILED marker and the records
+    taken so far next to the outputs already written."""
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w", newline="\n") as fh:
         json.dump(config.raw, fh, indent=2, sort_keys=True)
         fh.write("\n")
     # looked up per call, so a runner replaced on this module is the one run
     runners = {"meso": run_meso, "macro": run_macro}
     results = {}
-    for scheme, files in _FIELD_FILES.items():
-        if config.scheme not in (scheme, "both"):
-            continue
-        state, records = runners[scheme](config)
-        for suffix, columns in files:
-            write_fields(state, out / f"{scheme}_{suffix}.dat", columns=columns)
-        write_diagnostics(records, out / f"{scheme}_diagnostics.dat")
-        results[scheme] = (state, records)
+    try:
+        for scheme, files in _FIELD_FILES.items():
+            if config.scheme not in (scheme, "both"):
+                continue
+            state, records = runners[scheme](config)
+            for suffix, columns in files:
+                write_fields(state, out / f"{scheme}_{suffix}.dat", columns=columns)
+            write_diagnostics(records, out / f"{scheme}_diagnostics.dat")
+            results[scheme] = (state, records)
+    except SolverError as exc:
+        records = exc.diagnostics.get("records")
+        if records:
+            write_diagnostics(records, out / "partial_diagnostics.dat")
+        with open(out / "FAILED", "w", newline="\n") as fh:
+            fh.write(f"{exc}\n")
+        raise
     if config.scheme == "both":
         coarse_meso = diagnostics.coarse_grain(results["meso"][0], config.coarse_K)
         coarse_macro = diagnostics.coarse_grain(results["macro"][0], config.coarse_K)
@@ -301,16 +309,9 @@ def _execute(config, out):
 def run_experiment(config):
     """Execute a config; returns the process exit status (0 ok, 1 solver
     failure).  Partial outputs are kept next to a FAILED marker."""
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        _execute(config, out)
-    except SolverError as exc:
-        records = exc.diagnostics.get("records")
-        if records:
-            write_diagnostics(records, out / "partial_diagnostics.dat")
-        with open(out / "FAILED", "w", newline="\n") as fh:
-            fh.write(f"{exc}\n")
+        _execute(config)
+    except SolverError:
         return 1
     return 0
 
@@ -333,10 +334,7 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
         sub_overrides.update({"cells": cells, "scheme": "both",
                               "coarse_K": probe.coarse_K,
                               "output_dir": str(out / f"J{cells}")})
-        config = parse_config(source, overrides=sub_overrides)
-        sub_out = Path(config.output_dir)
-        sub_out.mkdir(parents=True, exist_ok=True)
-        results = _execute(config, sub_out)
+        results = _execute(parse_config(source, overrides=sub_overrides))
         norms = results["norms"]
         rows.append((cells, norms["rho_hat"]["rel_l1"], norms["u_hat"]["rel_l1"],
                      norms["alpha_hat"]["rel_l1"]))

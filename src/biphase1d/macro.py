@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import StepFailure
 from .materials import mu_eff, p_eff, relaxation_rhs
 from .meso import check_density, riemann_density, run_scheme
 from .stepping import StaggeredGrid, lagrangian_step
@@ -68,14 +67,13 @@ def _alpha_increment_bound(alpha, policy):
     return policy.relax_eta * np.minimum(alpha, 1.0 - alpha) + RELAX_SLACK
 
 
-def _relax_dt_cap(state, mat, policy):
-    """Predict a dt keeping the volume-fraction increment within bounds,
+def _relax_dt_cap(state, mat, bound):
+    """Predict a dt keeping the volume-fraction increment within ``bound``,
     using the current velocity field (the actual increment is validated
     against the implicit one after the solve)."""
     du_dx = (state.u - np.roll(state.u, 1)) / state.grid.cell_dx
     rate = np.abs(relaxation_rhs(state.alpha, state.rho_plus, state.rho_minus,
                                  du_dx, mat))
-    bound = _alpha_increment_bound(state.alpha, policy)
     with np.errstate(divide="ignore"):
         caps = np.where(rate > 0, bound / rate, np.inf)
     return float(np.min(caps))
@@ -88,34 +86,30 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     effective viscosity and pressure; the volume fraction then takes a
     forward-Euler relaxation increment built from the *new* velocities
     and cell widths, is clamped to [0, 1] (counted), and the phase
-    densities are recovered from the constant phase masses.  If the
-    increment exceeds the stability bound, dt is halved and the step
-    redone.
+    densities are recovered from the constant phase masses.  An attempt
+    whose increment exceeds the stability bound is turned down, so the
+    kernel halves dt and redoes the solve.
     """
     rho_mix = state.rho
     p_cells = p_eff(state.alpha, state.rho_plus, state.rho_minus, mat, weighting)
     mu_cells = mu_eff(state.alpha, mat)
 
-    cap = _relax_dt_cap(state, mat, policy)
+    bound = _alpha_increment_bound(state.alpha, policy)
+    cap = _relax_dt_cap(state, mat, bound)
     if dt_limit is not None:
         cap = min(cap, dt_limit)
-    bound = _alpha_increment_bound(state.alpha, policy)
 
-    out = d_alpha = None
-    for _ in range(policy.max_halvings + 1):
-        out = lagrangian_step(state.grid, state.u, rho_mix, mu_cells, p_cells,
-                              policy, dt_limit=cap)
-        du_dx = (out.u - np.roll(out.u, 1)) / out.grid.cell_dx
-        d_alpha = out.dt_used * relaxation_rhs(state.alpha, state.rho_plus,
-                                               state.rho_minus, du_dx, mat)
-        if np.all(np.abs(d_alpha) <= bound):
-            break
-        cap = 0.5 * out.dt_used
-    else:
-        raise StepFailure("volume-fraction increment stayed above the "
-                          f"stability bound after {policy.max_halvings} halvings",
-                          diagnostics={"t": state.t, "dt": out.dt_used,
-                                       "max_dalpha": float(np.max(np.abs(d_alpha)))})
+    d_alpha = None
+
+    def increment_within_bound(u_new, new_grid, dt):
+        nonlocal d_alpha
+        du_dx = (u_new - np.roll(u_new, 1)) / new_grid.cell_dx
+        d_alpha = dt * relaxation_rhs(state.alpha, state.rho_plus,
+                                      state.rho_minus, du_dx, mat)
+        return bool(np.all(np.abs(d_alpha) <= bound))
+
+    out = lagrangian_step(state.grid, state.u, rho_mix, mu_cells, p_cells,
+                          policy, dt_limit=cap, accept=increment_within_bound)
 
     alpha_raw = state.alpha + d_alpha
     alpha_new = np.clip(alpha_raw, 0.0, 1.0)

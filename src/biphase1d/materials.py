@@ -8,7 +8,6 @@ functions broadcast over numpy arrays.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 WEIGHTING_CROSS = "cross"
 WEIGHTING_OWN = "paper"
@@ -86,20 +85,22 @@ class TabulatedLaw(PressureLaw):
         return np.interp(rho, self.rho_table, self.p_table)
 
     def potential(self, rho):
+        """Exact: on each piece p = a + b s, whose integral of p/s^2 is
+        a (1/lo - 1/hi) + b ln(hi/lo); outside the table p is constant."""
         rho = np.asarray(rho, dtype=float)
         if np.any(rho < 0):
             raise ValueError("density must be >= 0")
-
-        def one(r):
-            if r == 0.0:
-                return 0.0
-            val, _ = quad(lambda s: self.pressure(s) / s**2, 1.0, r,
-                          points=None, limit=200)
-            return r * val
-
-        if rho.ndim == 0:
-            return np.float64(one(float(rho)))
-        return np.array([one(r) for r in rho.ravel()]).reshape(rho.shape)
+        r_t, p_t = self.rho_table, self.p_table
+        b = np.concatenate(([0.0], np.diff(p_t) / np.diff(r_t), [0.0]))
+        a = np.concatenate(([p_t[0]], p_t[:-1] - b[1:-1] * r_t[:-1], [p_t[-1]]))
+        # integrate from min(1, rho) to max(1, rho), each piece clipped to it
+        r = np.where(rho == 0, 1.0, rho)[..., None]
+        lo, hi = np.minimum(r, 1.0), np.maximum(r, 1.0)
+        s_lo = np.clip(np.concatenate(([-np.inf], r_t)), lo, hi)
+        s_hi = np.clip(np.concatenate((r_t, [np.inf])), lo, hi)
+        integral = np.sum(a * (s_hi - s_lo) / (s_lo * s_hi) + b * np.log(s_hi / s_lo),
+                          axis=-1)
+        return np.where(rho == 0, 0.0, rho * np.where(rho < 1, -integral, integral))[()]
 
 
 @dataclass(frozen=True)

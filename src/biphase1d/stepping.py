@@ -59,9 +59,10 @@ class StepPolicy:
 
     cfl_theta bounds the fraction of the smallest cell a node may sweep
     per step (predicted from the current velocity jumps); dt_max is an
-    absolute cap; max_halvings bounds the retry loop that validates the
-    implicit velocity; relax_eta bounds the per-step volume-fraction
-    increment of the two-phase scheme.
+    absolute cap; max_halvings is the one dt-halving budget of a step,
+    shared by cell inversions and the scheme's own rejections (the
+    two-phase relaxation bound); relax_eta bounds the per-step
+    volume-fraction increment of the two-phase scheme.
     """
 
     cfl_theta: float = 0.4
@@ -160,36 +161,39 @@ def choose_dt(grid, u_old, policy):
     return min(policy.dt_max, policy.cfl_theta * np.min(grid.cell_dx) / (jump + _CFL_EPS))
 
 
-def lagrangian_step(grid, u_old, rho_cells, mu_cells, p_cells, policy, dt_limit=None):
+def lagrangian_step(grid, u_old, rho_cells, mu_cells, p_cells, policy, dt_limit=None,
+                    accept=None):
     """One full step: implicit momentum solve, mesh motion, density update.
 
     The dt candidate comes from choose_dt (optionally capped by dt_limit,
-    e.g. to land on an output time); if the implicitly computed velocities
-    would invert a cell, dt is halved and the solve repeated, up to
-    policy.max_halvings times.  The returned dissipation increment is
+    e.g. to land on an output time).  An attempt whose velocities would
+    invert a cell, or that ``accept(u_new, new_grid, dt)`` turns down,
+    halves dt and repeats the solve; both causes share the
+    policy.max_halvings budget.  The returned dissipation increment is
     dt * sum(mu (du/dx)^2 dx) evaluated with the new velocities on the
     pre-step mesh, matching the implicit discretization.
     """
     rho = np.asarray(rho_cells, dtype=float)
-    n_rho = node_density(rho, grid)
-    node_mass = n_rho * grid.node_dx
+    # the node densities and the assembled system stay unnamed so they die
+    # at once: at large J fewer live temporaries keep the heap from being
+    # trimmed and refaulted every step
+    node_mass = node_density(rho, grid) * grid.node_dx
 
     dt = choose_dt(grid, u_old, policy)
     if dt_limit is not None:
         dt = min(dt, dt_limit)
 
-    new_grid = None
-    halvings = 0
     for halvings in range(policy.max_halvings + 1):
-        system = assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt)
-        u_new = solve_cyclic_tridiagonal(system)
+        u_new = solve_cyclic_tridiagonal(
+            assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt))
         new_grid = advance_positions(grid, u_new, dt)
-        if new_grid is not None:
+        if new_grid is not None and (accept is None or accept(u_new, new_grid, dt)):
             break
         dt *= 0.5
-    if new_grid is None:
+    else:
+        cause = "cell inversion" if new_grid is None else "step rejection"
         raise StepFailure(
-            f"cell inversion persisted after {policy.max_halvings} dt halvings",
+            f"{cause} persisted after {policy.max_halvings} dt halvings",
             diagnostics={"dt": dt, "min_dx": float(np.min(grid.cell_dx)),
                          "max_u": float(np.max(np.abs(u_new)))},
         )

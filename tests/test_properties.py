@@ -1,0 +1,133 @@
+"""Invariants stated as properties over random inputs: the closed-form
+tabulated potential against quadrature, mass and length conservation of
+the kernel step, and the one dt-halving budget of a step."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+from biphase1d.errors import StepFailure
+from biphase1d.materials import TabulatedLaw
+from biphase1d.stepping import StaggeredGrid, StepPolicy, choose_dt, lagrangian_step
+
+
+def potential_by_quadrature(law, rho):
+    """Oracle: rho * int_1^rho p(s)/s^2 ds, split at the table's knots."""
+    if rho == 0.0:
+        return 0.0
+    lo, hi = min(1.0, rho), max(1.0, rho)
+    knots = [k for k in law.rho_table if lo < k < hi]
+    val, _ = quad(lambda s: law.pressure(s) / s**2, 1.0, rho,
+                  points=knots or None, limit=200)
+    return rho * val
+
+
+gaps = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=7)
+
+
+@st.composite
+def tables(draw):
+    """A monotone table; about a third of them have a knot at rho = 0."""
+    start = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+    rho_t = start + np.concatenate(([0.0], np.cumsum(draw(gaps))))
+    rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                          min_size=rho_t.size - 1, max_size=rho_t.size - 1))
+    p_t = draw(st.floats(0.0, 3.0)) + np.concatenate(([0.0], np.cumsum(rises)))
+    return TabulatedLaw(rho_table=rho_t, p_table=p_t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=tables(), where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_tabulated_potential_matches_quadrature(law, where):
+    r_t, w = law.rho_table, np.asarray(where)
+    below, inside, above = r_t[0] * w, r_t[0] + (r_t[-1] - r_t[0]) * w, r_t[-1] * (1.0 + w)
+    # the oracle's quadrature loses accuracy where p/s^2 blows up, below 1e-3
+    rho = np.maximum(np.concatenate((below, inside, above, r_t, [1.0])), 1e-3)
+    rho = np.append(rho, 0.0)
+    got = law.potential(rho)
+    ref = np.array([potential_by_quadrature(law, r) for r in rho])
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+    assert law.potential(0.0) == 0.0
+    assert np.ndim(law.potential(rho[0])) == 0
+
+
+def test_tabulated_potential_rejects_negative_density():
+    law = TabulatedLaw(rho_table=[0.0, 1.0], p_table=[0.0, 1.0])
+    with pytest.raises(ValueError, match="density"):
+        law.potential([1.0, -0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 40),
+       dt_max=st.floats(1e-4, 1.0), length=st.floats(0.5, 2.0))
+def test_step_conserves_cell_mass_and_length(seed, J, dt_max, length):
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.1, 1.0, J)
+    grid = StaggeredGrid(np.cumsum(widths) * (length / widths.sum()), length)
+    rho = rng.uniform(0.1, 10.0, J)
+    out = lagrangian_step(grid, rng.uniform(-1.0, 1.0, J), rho,
+                          rng.uniform(0.0, 1.0, J), rng.uniform(0.0, 10.0, J),
+                          StepPolicy(dt_max=dt_max, max_halvings=60))
+    assert np.allclose(out.rho * out.grid.cell_dx, rho * grid.cell_dx,
+                       rtol=1e-13, atol=0.0)
+    assert out.grid.length == length
+    assert abs(np.sum(out.grid.cell_dx) - length) <= 1e-12 * length
+
+
+def quiet_step_inputs(J=16):
+    """Smooth inputs on which the kernel never inverts a cell at dt_max=1e-4."""
+    grid = StaggeredGrid.uniform(J)
+    x = grid.midpoints
+    return (grid, 0.1 * np.sin(2 * np.pi * grid.node_x), 1.0 + 0.5 * np.sin(2 * np.pi * x),
+            np.full(J, 0.1), 1.0 + 0.5 * np.cos(2 * np.pi * x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 8), max_halvings=st.integers(1, 8))
+def test_rejections_halve_dt_within_one_budget(k, max_halvings):
+    grid, u, rho, mu, p = quiet_step_inputs()
+    policy = StepPolicy(dt_max=1e-4, max_halvings=max_halvings)
+    dt0 = choose_dt(grid, u, policy)
+    tried = []
+
+    def reject_first_k(u_new, new_grid, dt):
+        tried.append(dt)
+        return len(tried) > k
+
+    if k > max_halvings:
+        with pytest.raises(StepFailure,
+                           match=f"step rejection persisted after {max_halvings} dt halvings"):
+            lagrangian_step(grid, u, rho, mu, p, policy, accept=reject_first_k)
+        assert len(tried) == max_halvings + 1
+        return
+    out = lagrangian_step(grid, u, rho, mu, p, policy, accept=reject_first_k)
+    assert out.halvings == k
+    assert out.dt_used == dt0 * 0.5**k
+    assert tried == [dt0 * 0.5**i for i in range(k + 1)]
+
+
+def test_inversions_and_rejections_share_the_budget():
+    # u_old = 0 defeats the CFL predictor, so the alternating pressure
+    # inverts cells at the dt_max try and forces halvings
+    grid = StaggeredGrid.uniform(8)
+    args = (grid, np.zeros(8), np.ones(8), np.zeros(8),
+            np.where(np.arange(8) % 2 == 0, 100.0, 0.0))
+    inversions = lagrangian_step(*args, StepPolicy(dt_max=1.0, max_halvings=60)).halvings
+    assert inversions > 0
+
+    seen = []
+
+    def reject_once(u_new, new_grid, dt):
+        seen.append(dt)
+        return len(seen) > 1
+
+    out = lagrangian_step(*args, StepPolicy(dt_max=1.0, max_halvings=60), accept=reject_once)
+    assert out.halvings == inversions + 1
+    with pytest.raises(StepFailure, match=f"step rejection persisted after {inversions} "):
+        lagrangian_step(*args, StepPolicy(dt_max=1.0, max_halvings=inversions),
+                        accept=lambda u_new, new_grid, dt: False)
+    with pytest.raises(StepFailure, match=f"cell inversion persisted after {inversions - 1} "):
+        lagrangian_step(*args, StepPolicy(dt_max=1.0, max_halvings=inversions - 1),
+                        accept=lambda u_new, new_grid, dt: True)

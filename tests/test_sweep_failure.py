@@ -1,0 +1,19 @@
+"""A sweep whose run breaks down leaves the same forensics as `run`."""
+
+from biphase1d.cli import main
+
+# the meso scheme leaves the density envelope at J=32 (J=16 finishes)
+DENSITY_FAILURE = ('{"preset": "test1", "t_end": 1.0, "dt_max": 1.0, "coarse_K": 4, '
+                   '"mu_minus": 0.001, "gamma_minus": 5, "K_minus": 10}')
+
+
+def test_sweep_failure_leaves_marker(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sweep", DENSITY_FAILURE, "--cells", "16,32", "--out", str(out)]) == 1
+    assert "density left the sane range" in capsys.readouterr().err
+    assert (out / "J16" / "comparison_report.txt").is_file()
+    assert not (out / "J16" / "FAILED").exists()
+    failed = (out / "J32" / "FAILED").read_text()
+    assert failed.startswith("density left the sane range")
+    assert (out / "J32" / "partial_diagnostics.dat").is_file()
+    assert not (out / "sweep.dat").exists()
