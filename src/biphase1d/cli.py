@@ -8,6 +8,7 @@ and LF line endings, so reruns of the same config are byte-identical.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -64,9 +65,20 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _as_int(raw, key, minimum):
+def _as_number(raw, key, kind):
     val = raw[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or int(val) != val:
+    try:
+        ok = not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"key {key!r}: expected a finite {kind}, got {val!r}")
+    return val
+
+
+def _as_int(raw, key, minimum):
+    val = _as_number(raw, key, "integer")
+    if int(val) != val:
         raise ConfigError(f"key {key!r}: expected an integer, got {val!r}")
     if int(val) < minimum:
         raise ConfigError(f"key {key!r}: must be >= {minimum}, got {val}")
@@ -74,10 +86,7 @@ def _as_int(raw, key, minimum):
 
 
 def _as_float(raw, key, minimum=None, strict=False):
-    val = raw[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"key {key!r}: expected a number, got {val!r}")
-    val = float(val)
+    val = float(_as_number(raw, key, "number"))
     if minimum is not None and (val < minimum or (strict and val == minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"key {key!r}: must be {op} {minimum}, got {val}")
@@ -163,7 +172,7 @@ def parse_config(source, overrides=None):
 
     preset = raw.pop("preset", None)
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"key 'preset': unknown preset {preset!r}")
         raw = {**PRESETS[preset], **raw}
     if overrides:
@@ -189,11 +198,8 @@ def _fmt_row(values):
 
 
 def _write_table(path, names, columns):
-    rows = np.column_stack(columns)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# " + " ".join(names) + "\n")
-        for row in rows:
-            fh.write(_fmt_row(row) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g",
+               header=" ".join(names), comments="# ")
 
 
 _COARSE_COLUMNS = ("alpha", "rho", "rho_plus", "rho_minus", "u")

@@ -118,65 +118,54 @@ def estimate_alpha_meso(state, j=None):
 
 
 def _window_sums(state, K):
-    """Exact cell-window intersection sweep.
+    """Exact window integrals over the pieces of the torus.
 
-    Splits every (possibly seam-crossing) cell into segments lying in
-    single windows and accumulates lengths, phase lengths, phase masses,
-    phase second moments, and the integral of the piecewise-linear
-    velocity.
+    Cutting the torus at every cell's left edge, at every window edge and
+    at the seam leaves pieces that each lie in one cell and one window.
+    Cell quantities are constant on a piece and the velocity is linear,
+    so its value at the piece midpoint integrates exactly.  Returns the
+    per-window lengths (total and by phase), phase masses, phase second
+    moments and the velocity integral.
     """
     grid = state.grid
     J, L = grid.J, grid.length
     if K < 1 or K >= J:
         raise ValueError(f"coarse window count must satisfy 1 <= K < J, got {K}")
     h = L / K
-    w, rho_p, rho_m = state.weight, state.rho_plus, state.rho_minus
-    u_right = np.asarray(state.u, dtype=float)
-    u_left = np.roll(u_right, 1)
     dx = grid.cell_dx
-    left_edge = grid.node_x - dx
+    start = (grid.node_x - dx) % L
+    cuts = np.unique(np.concatenate((start, np.arange(K) * h, [L])))
+    seg = np.diff(cuts)
+    mid = cuts[:-1] + 0.5 * seg
+    # the piece before the first left edge belongs to the seam cell,
+    # the one that starts last (searchsorted index -1)
+    order = np.argsort(start)
+    cell = order[np.searchsorted(start, cuts[:-1], side="right", sorter=order) - 1]
+    win = np.minimum((mid / h).astype(int), K - 1)
 
-    length = np.zeros(K)
-    plus_len = np.zeros(K)
-    plus_mass = np.zeros(K)
-    minus_mass = np.zeros(K)
-    plus_sq = np.zeros(K)
-    minus_sq = np.zeros(K)
-    u_int = np.zeros(K)
+    def integral(per_piece):
+        return np.bincount(win, weights=seg * per_piece, minlength=K)
 
-    for j in range(J):
-        dxj = dx[j]
-        start = left_edge[j] % L
-        pieces = [(start, min(dxj, L - start), 0.0)]
-        if dxj > L - start:
-            pieces.append((0.0, dxj - (L - start), L - start))
-        for torus_a, plen, local in pieces:
-            a = torus_a
-            remaining = plen
-            k = min(int(a / h), K - 1)
-            while remaining > 0.0:
-                # the last window absorbs everything up to the seam, so a
-                # start sitting exactly on an edge cannot stall the walk
-                seg = remaining if k == K - 1 else min(remaining, (k + 1) * h - a)
-                if seg > 0.0:
-                    length[k] += seg
-                    plus_len[k] += seg * w[j]
-                    plus_mass[k] += seg * w[j] * rho_p[j]
-                    minus_mass[k] += seg * (1.0 - w[j]) * rho_m[j]
-                    plus_sq[k] += seg * w[j] * rho_p[j] ** 2
-                    minus_sq[k] += seg * (1.0 - w[j]) * rho_m[j] ** 2
-                    xi_mid = local + (a - torus_a) + 0.5 * seg
-                    u_int[k] += seg * (u_left[j] + (u_right[j] - u_left[j]) * xi_mid / dxj)
-                    a += seg
-                    remaining -= seg
-                if remaining > 0.0:
-                    k += 1
-
+    u = np.asarray(state.u, dtype=float)
+    xi = (mid - start[cell]) % L
+    u_int = integral(u[cell - 1] + (u[cell] - u[cell - 1]) * xi / dx[cell])
+    w, rho_p, rho_m = state.weight, state.rho_plus, state.rho_minus
+    length, plus_len = integral(1.0), integral(w[cell])
     return {
         "h": h, "length": length, "plus_len": plus_len,
-        "plus_mass": plus_mass, "minus_mass": minus_mass,
-        "plus_sq": plus_sq, "minus_sq": minus_sq, "u_int": u_int,
+        "minus_len": np.maximum(length - plus_len, 0.0),
+        "plus_mass": integral((w * rho_p)[cell]),
+        "minus_mass": integral(((1.0 - w) * rho_m)[cell]),
+        "plus_sq": integral((w * rho_p**2)[cell]),
+        "minus_sq": integral(((1.0 - w) * rho_m**2)[cell]),
+        "u_int": u_int,
     }
+
+
+def _conditional_mean(amount, length, h):
+    """amount / length per window, NaN where the length is below 1e-14 h."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(length > 1e-14 * h, amount / length, np.nan)
 
 
 def coarse_grain(state, K):
@@ -188,19 +177,14 @@ def coarse_grain(state, K):
     """
     s = _window_sums(state, K)
     h, length = s["h"], s["length"]
-    minus_len = np.maximum(length - s["plus_len"], 0.0)
-    tiny = 1e-14 * h
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho_plus_hat = np.where(s["plus_len"] > tiny, s["plus_mass"] / s["plus_len"], np.nan)
-        rho_minus_hat = np.where(minus_len > tiny, s["minus_mass"] / minus_len, np.nan)
     return CoarseFields(
         K=K,
         centers=(np.arange(K) + 0.5) * h,
         window_len=length,
         alpha_hat=np.clip(s["plus_len"] / length, 0.0, 1.0),
         rho_hat=(s["plus_mass"] + s["minus_mass"]) / length,
-        rho_plus_hat=rho_plus_hat,
-        rho_minus_hat=rho_minus_hat,
+        rho_plus_hat=_conditional_mean(s["plus_mass"], s["plus_len"], h),
+        rho_minus_hat=_conditional_mean(s["minus_mass"], s["minus_len"], h),
         u_hat=s["u_int"] / length,
     )
 
@@ -213,22 +197,16 @@ def two_point_structure(state, K):
     the gap is degenerate (< 1e-12) or a phase is absent.
     """
     s = _window_sums(state, K)
-    minus_len = np.maximum(s["length"] - s["plus_len"], 0.0)
-    tiny = 1e-14 * s["h"]
-
-    def conditional(mass, sq, ln):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(ln > tiny, mass / ln, np.nan)
-            var = np.where(ln > tiny, np.maximum(sq / ln - mean**2, 0.0), np.nan)
-        return mean, var
-
-    mean_p, var_p = conditional(s["plus_mass"], s["plus_sq"], s["plus_len"])
-    mean_m, var_m = conditional(s["minus_mass"], s["minus_sq"], minus_len)
+    h, plus_len, minus_len = s["h"], s["plus_len"], s["minus_len"]
+    mean_p = _conditional_mean(s["plus_mass"], plus_len, h)
+    mean_m = _conditional_mean(s["minus_mass"], minus_len, h)
+    var_p = np.maximum(_conditional_mean(s["plus_sq"], plus_len, h) - mean_p**2, 0.0)
+    var_m = np.maximum(_conditional_mean(s["minus_sq"], minus_len, h) - mean_m**2, 0.0)
     gap = np.abs(mean_p - mean_m)
     with np.errstate(invalid="ignore", divide="ignore"):
         conc = np.where(gap >= GAP_DEGENERATE,
                         np.fmax(var_p, var_m) / gap**2, np.nan)
-    return TwoPointReport(K=K, centers=(np.arange(K) + 0.5) * s["h"],
+    return TwoPointReport(K=K, centers=(np.arange(K) + 0.5) * h,
                           mean_plus=mean_p, mean_minus=mean_m,
                           var_plus=var_p, var_minus=var_m,
                           gap=gap, concentration=conc)

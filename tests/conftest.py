@@ -35,3 +35,63 @@ def random_dominant_system(rng, n):
     diag = sign * (np.abs(sub) + np.abs(sup) + margin)
     rhs = rng.uniform(-5, 5, n)
     return CyclicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+
+
+def window_walk(state, K):
+    """Oracle for diagnostics._window_sums: walk every cell in order and
+    split it, and the seam-crossing cell by hand, into segments lying in
+    single windows, accumulating lengths, phase lengths, phase masses,
+    phase second moments, and the integral of the piecewise-linear
+    velocity."""
+    grid = state.grid
+    J, L = grid.J, grid.length
+    if K < 1 or K >= J:
+        raise ValueError(f"coarse window count must satisfy 1 <= K < J, got {K}")
+    h = L / K
+    w, rho_p, rho_m = state.weight, state.rho_plus, state.rho_minus
+    u_right = np.asarray(state.u, dtype=float)
+    u_left = np.roll(u_right, 1)
+    dx = grid.cell_dx
+    left_edge = grid.node_x - dx
+
+    length = np.zeros(K)
+    plus_len = np.zeros(K)
+    plus_mass = np.zeros(K)
+    minus_mass = np.zeros(K)
+    plus_sq = np.zeros(K)
+    minus_sq = np.zeros(K)
+    u_int = np.zeros(K)
+
+    for j in range(J):
+        dxj = dx[j]
+        start = left_edge[j] % L
+        pieces = [(start, min(dxj, L - start), 0.0)]
+        if dxj > L - start:
+            pieces.append((0.0, dxj - (L - start), L - start))
+        for torus_a, plen, local in pieces:
+            a = torus_a
+            remaining = plen
+            k = min(int(a / h), K - 1)
+            while remaining > 0.0:
+                # the last window absorbs everything up to the seam, so a
+                # start sitting exactly on an edge cannot stall the walk
+                seg = remaining if k == K - 1 else min(remaining, (k + 1) * h - a)
+                if seg > 0.0:
+                    length[k] += seg
+                    plus_len[k] += seg * w[j]
+                    plus_mass[k] += seg * w[j] * rho_p[j]
+                    minus_mass[k] += seg * (1.0 - w[j]) * rho_m[j]
+                    plus_sq[k] += seg * w[j] * rho_p[j] ** 2
+                    minus_sq[k] += seg * (1.0 - w[j]) * rho_m[j] ** 2
+                    xi_mid = local + (a - torus_a) + 0.5 * seg
+                    u_int[k] += seg * (u_left[j] + (u_right[j] - u_left[j]) * xi_mid / dxj)
+                    a += seg
+                    remaining -= seg
+                if remaining > 0.0:
+                    k += 1
+
+    return {
+        "h": h, "length": length, "plus_len": plus_len,
+        "plus_mass": plus_mass, "minus_mass": minus_mass,
+        "plus_sq": plus_sq, "minus_sq": minus_sq, "u_int": u_int,
+    }

@@ -249,6 +249,16 @@ class TestSourceKinds:
             parse_config(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    '{"cells": NaN}', '{"cells": 1e400}', '{"cadence": Infinity}',
+    '{"t_end": NaN}', '{"t_end": Infinity}', '{"preset": []}',
+])
+def test_nonfinite_numbers_and_nonstring_preset_are_config_errors(text, tmp_path, capsys):
+    assert main(["run", text, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_python_dash_m_entry(tmp_path):
     import os
     import subprocess

@@ -1,6 +1,7 @@
 """Invariants stated as properties over random inputs: the closed-form
 tabulated potential against quadrature, mass and length conservation of
-the kernel step, and the one dt-halving budget of a step."""
+the kernel step, the one dt-halving budget of a step, and the window
+integrals of coarse-graining against a cell-by-cell walk."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import window_walk
+
+from biphase1d.diagnostics import _window_sums
 from biphase1d.errors import StepFailure
+from biphase1d.macro import MacroState
 from biphase1d.materials import TabulatedLaw
+from biphase1d.meso import MesoState
 from biphase1d.stepping import StaggeredGrid, StepPolicy, choose_dt, lagrangian_step
 
 
@@ -131,3 +137,48 @@ def test_inversions_and_rejections_share_the_budget():
     with pytest.raises(StepFailure, match=f"cell inversion persisted after {inversions - 1} "):
         lagrangian_step(*args, StepPolicy(dt_max=1.0, max_halvings=inversions - 1),
                         accept=lambda u_new, new_grid, dt: True)
+
+
+@st.composite
+def torus_states(draw):
+    """A meso or macro state on a random torus whose unwrapped nodes are
+    shifted by up to 3 lengths either way, so the seam cuts a cell and
+    coordinates go negative."""
+    J = draw(st.integers(3, 30))
+    length = draw(st.floats(0.1, 10.0))
+    widths = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=J, max_size=J)))
+    shift = draw(st.floats(-3.0, 3.0)) * length
+    grid = StaggeredGrid(shift + np.cumsum(widths * (length / widths.sum())), length)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(-2.0, 2.0, J)
+    if draw(st.booleans()):
+        return MesoState(grid=grid, u=u, rho=rng.uniform(0.1, 5.0, J),
+                         c=rng.integers(0, 2, J).astype(float))
+    alpha = rng.uniform(0.0, 1.0, J)
+    rho_p, rho_m = rng.uniform(0.1, 5.0, J), rng.uniform(0.1, 5.0, J)
+    return MacroState(grid=grid, u=u, alpha=alpha,
+                      mass_plus=alpha * rho_p * grid.cell_dx,
+                      mass_minus=(1.0 - alpha) * rho_m * grid.cell_dx,
+                      rho_plus=rho_p, rho_minus=rho_m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=torus_states())
+def test_window_sums_match_the_cell_walk(state):
+    # the scale of window k is the integral of |integrand| over windows
+    # k-1, k and k+1: where a cell edge lies within rounding of a window
+    # edge, both sides may hand a sliver of the neighbouring cell to
+    # either window.  Every integrand but the velocity is nonnegative; the
+    # walk over |u| bounds the integral of |u|.
+    speed = MesoState(grid=state.grid, u=np.abs(state.u), rho=np.ones(state.grid.J),
+                      c=np.ones(state.grid.J))
+    for K in range(1, state.grid.J):
+        got, ref = _window_sums(state, K), window_walk(state, K)
+        assert got["h"] == ref["h"]
+        absolute = {**ref, "u_int": window_walk(speed, K)["u_int"]}
+        for key in ("length", "plus_len", "plus_mass", "minus_mass",
+                    "plus_sq", "minus_sq", "u_int"):
+            near = absolute[key]
+            scale = np.roll(near, 1) + near + np.roll(near, -1)
+            assert got[key].shape == (K,)
+            assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * scale), (K, key)
