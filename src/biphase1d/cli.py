@@ -50,6 +50,9 @@ PRESETS = {
 
 _SCHEMES = ("meso", "macro", "both")
 
+# 1000 times the largest benchmarked J: an absurd count fails before any allocation
+MAX_CELLS = 10**8
+
 
 @dataclass
 class RunConfig:
@@ -107,6 +110,8 @@ def _build_config(raw):
         raise ConfigError(f"key 'weighting': must be one of {WEIGHTINGS}, got {weighting!r}")
 
     cells = _as_int(merged, "cells", 4)
+    if cells > MAX_CELLS:
+        raise ConfigError(f"key 'cells': must be <= {MAX_CELLS}, got {cells}")
     if scheme != "macro" and cells % 2:
         raise ConfigError(f"key 'cells': the meso scheme alternates phases, "
                           f"so it needs an even count, got {cells}")
@@ -193,10 +198,6 @@ def _load_json(text):
 # ---------------------------------------------------------------------------
 # writers
 
-def _fmt_row(values):
-    return " ".join(f"{v:.17g}" for v in values)
-
-
 def _write_table(path, names, columns):
     np.savetxt(path, np.column_stack(columns), fmt="%.17g",
                header=" ".join(names), comments="# ")
@@ -252,11 +253,11 @@ def _write_comparison(out, coarse_meso, coarse_macro, norms, config, clamp_event
         fh.write(f"# meso vs macro on K={config.coarse_K} windows, "
                  f"weighting={config.weighting}, cells={config.cells}, "
                  f"t_end={config.t_end:g}\n")
-        fh.write("# field l1 l2 linf rel_l1 rel_l2 rel_linf\n")
+        keys = ("l1", "l2", "linf", "rel_l1", "rel_l2", "rel_linf")
+        fh.write("# field " + " ".join(keys) + "\n")
         for short in _COARSE_COLUMNS:
             n = norms[short + "_hat"]
-            fh.write(f"{short} " + _fmt_row((n["l1"], n["l2"], n["linf"],
-                                             n["rel_l1"], n["rel_l2"], n["rel_linf"])) + "\n")
+            fh.write(" ".join([short] + [f"{n[k]:.17g}" for k in keys]) + "\n")
         fh.write(f"# macro clamp_events = {clamp_events}\n")
 
 
@@ -328,26 +329,22 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
 
     All resolutions are compared on one window layout: the explicitly
     configured coarse_K if any, else the default derived at the smallest
-    resolution.
+    resolution.  Every resolution's config is validated before any runs.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    probe = parse_config(source, overrides={**(overrides or {}),
-                                            "cells": min(cells_list)})
+    overrides = overrides or {}
+    probe = parse_config(source, overrides={**overrides, "cells": min(cells_list)})
+    configs = [parse_config(source, overrides={**overrides, "cells": cells, "scheme": "both",
+                                               "coarse_K": probe.coarse_K,
+                                               "output_dir": str(out / f"J{cells}")})
+               for cells in cells_list]
     rows = []
-    for cells in cells_list:
-        sub_overrides = dict(overrides or {})
-        sub_overrides.update({"cells": cells, "scheme": "both",
-                              "coarse_K": probe.coarse_K,
-                              "output_dir": str(out / f"J{cells}")})
-        results = _execute(parse_config(source, overrides=sub_overrides))
-        norms = results["norms"]
-        rows.append((cells, norms["rho_hat"]["rel_l1"], norms["u_hat"]["rel_l1"],
+    for config in configs:
+        norms = _execute(config)["norms"]
+        rows.append((config.cells, norms["rho_hat"]["rel_l1"], norms["u_hat"]["rel_l1"],
                      norms["alpha_hat"]["rel_l1"]))
-    with open(out / "sweep.dat", "w", newline="\n") as fh:
-        fh.write("# cells rel_l1_rho rel_l1_u rel_l1_alpha\n")
-        for row in rows:
-            fh.write(f"{row[0]} " + _fmt_row(row[1:]) + "\n")
+    _write_table(out / "sweep.dat", ("cells", "rel_l1_rho", "rel_l1_u", "rel_l1_alpha"),
+                 np.array(rows).T)
     return rows
 
 

@@ -215,6 +215,15 @@ def two_point_structure(state, K):
 _COMPARE_FIELDS = ("alpha_hat", "rho_hat", "rho_plus_hat", "rho_minus_hat", "u_hat")
 
 
+def _norms(v, wlen):
+    """Window-length-weighted l1 and l2 norms of v, and its max norm."""
+    return {
+        "l1": float(np.sum(np.abs(v) * wlen)),
+        "l2": float(np.sqrt(np.sum(v**2 * wlen))),
+        "linf": float(np.max(np.abs(v))) if v.size else 0.0,
+    }
+
+
 def compare_fields(a, b):
     """Discrete norms of the differences between two window layouts.
 
@@ -229,18 +238,8 @@ def compare_fields(a, b):
         fa, fb = getattr(a, name), getattr(b, name)
         ok = np.isfinite(fa) & np.isfinite(fb)
         wlen = a.window_len[ok]
-        d = fa[ok] - fb[ok]
-        ref = fb[ok]
-        norms = {
-            "l1": float(np.sum(np.abs(d) * wlen)),
-            "l2": float(np.sqrt(np.sum(d**2 * wlen))),
-            "linf": float(np.max(np.abs(d))) if d.size else 0.0,
-        }
-        refs = {
-            "l1": float(np.sum(np.abs(ref) * wlen)),
-            "l2": float(np.sqrt(np.sum(ref**2 * wlen))),
-            "linf": float(np.max(np.abs(ref))) if ref.size else 0.0,
-        }
+        norms = _norms(fa[ok] - fb[ok], wlen)
+        refs = _norms(fb[ok], wlen)
         for key in ("l1", "l2", "linf"):
             if refs[key] > 0:
                 norms["rel_" + key] = norms[key] / refs[key]

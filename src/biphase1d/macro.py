@@ -63,20 +63,12 @@ def init_macro_riemann(J):
                       rho_plus=rho_p, rho_minus=rho_m)
 
 
-def _alpha_increment_bound(alpha, policy):
-    return policy.relax_eta * np.minimum(alpha, 1.0 - alpha) + RELAX_SLACK
-
-
-def _relax_dt_cap(state, mat, bound):
-    """Predict a dt keeping the volume-fraction increment within ``bound``,
-    using the current velocity field (the actual increment is validated
-    against the implicit one after the solve)."""
-    du_dx = (state.u - np.roll(state.u, 1)) / state.grid.cell_dx
-    rate = np.abs(relaxation_rhs(state.alpha, state.rho_plus, state.rho_minus,
-                                 du_dx, mat))
-    with np.errstate(divide="ignore"):
-        caps = np.where(rate > 0, bound / rate, np.inf)
-    return float(np.min(caps))
+def _phase_density(mass, fraction, dx, rho_old):
+    """Phase density mass / (fraction * dx), frozen at rho_old where the
+    phase volume vanishes; also returns how many such cells hold mass."""
+    ok = fraction > ALPHA_GUARD
+    rho = np.where(ok, mass / (np.where(ok, fraction, 1.0) * dx), rho_old)
+    return rho, int(np.count_nonzero(~ok & (mass > 0)))
 
 
 def step_macro(state, mat, weighting, policy, dt_limit=None):
@@ -86,16 +78,20 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     effective viscosity and pressure; the volume fraction then takes a
     forward-Euler relaxation increment built from the *new* velocities
     and cell widths, is clamped to [0, 1] (counted), and the phase
-    densities are recovered from the constant phase masses.  An attempt
-    whose increment exceeds the stability bound is turned down, so the
-    kernel halves dt and redoes the solve.
+    densities are recovered from the constant phase masses.  The dt is
+    predicted at the current velocities; an attempt whose increment
+    exceeds the stability bound is turned down and redone at half dt.
     """
-    rho_mix = state.rho
     p_cells = p_eff(state.alpha, state.rho_plus, state.rho_minus, mat, weighting)
     mu_cells = mu_eff(state.alpha, mat)
 
-    bound = _alpha_increment_bound(state.alpha, policy)
-    cap = _relax_dt_cap(state, mat, bound)
+    def rate(u, grid):
+        return relaxation_rhs(state.alpha, state.rho_plus, state.rho_minus,
+                              grid.strain(u), mat)
+
+    bound = policy.relax_eta * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
+    with np.errstate(divide="ignore"):
+        cap = float(np.min(bound / np.abs(rate(state.u, state.grid))))
     if dt_limit is not None:
         cap = min(cap, dt_limit)
 
@@ -103,28 +99,19 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
 
     def increment_within_bound(u_new, new_grid, dt):
         nonlocal d_alpha
-        du_dx = (u_new - np.roll(u_new, 1)) / new_grid.cell_dx
-        d_alpha = dt * relaxation_rhs(state.alpha, state.rho_plus,
-                                      state.rho_minus, du_dx, mat)
+        d_alpha = dt * rate(u_new, new_grid)
         return bool(np.all(np.abs(d_alpha) <= bound))
 
-    out = lagrangian_step(state.grid, state.u, rho_mix, mu_cells, p_cells,
+    out = lagrangian_step(state.grid, state.u, state.rho, mu_cells, p_cells,
                           policy, dt_limit=cap, accept=increment_within_bound)
 
     alpha_raw = state.alpha + d_alpha
     alpha_new = np.clip(alpha_raw, 0.0, 1.0)
     clamps = int(np.count_nonzero(alpha_new != alpha_raw))
-
-    # recover phase densities; freeze them where the phase volume vanishes
     dx_new = out.grid.cell_dx
-    plus_ok = alpha_new > ALPHA_GUARD
-    minus_ok = (1.0 - alpha_new) > ALPHA_GUARD
-    vol_plus = np.where(plus_ok, alpha_new, 1.0) * dx_new
-    vol_minus = np.where(minus_ok, 1.0 - alpha_new, 1.0) * dx_new
-    rho_p = np.where(plus_ok, state.mass_plus / vol_plus, state.rho_plus)
-    rho_m = np.where(minus_ok, state.mass_minus / vol_minus, state.rho_minus)
-    guards = int(np.count_nonzero(~plus_ok & (state.mass_plus > 0))
-                 + np.count_nonzero(~minus_ok & (state.mass_minus > 0)))
+    rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus)
+    rho_m, guards_m = _phase_density(state.mass_minus, 1.0 - alpha_new, dx_new,
+                                     state.rho_minus)
 
     check_density(state.cell_mass / dx_new, state.t, out.dt_used)
 
@@ -133,7 +120,7 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
                    t=state.t + out.dt_used,
                    dissipated=state.dissipated + out.dissipation_increment,
                    clamp_events=state.clamp_events + clamps,
-                   guard_events=state.guard_events + guards)
+                   guard_events=state.guard_events + guards_p + guards_m)
 
 
 def run_macro(config):

@@ -43,13 +43,13 @@ class PowerLaw(PressureLaw):
 
     def pressure(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0):
+        if not np.all(rho >= 0):
             raise ValueError("density must be >= 0")
         return self.K * rho**self.gamma
 
     def potential(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0):
+        if not np.all(rho >= 0):
             raise ValueError("density must be >= 0")
         if self.gamma == 1:
             # rho*log(rho) -> 0 as rho -> 0+
@@ -71,16 +71,16 @@ class TabulatedLaw(PressureLaw):
         p_t = np.asarray(self.p_table, dtype=float)
         if rho_t.ndim != 1 or rho_t.shape != p_t.shape or rho_t.size < 2:
             raise ValueError("tables must be matching 1-d arrays of length >= 2")
-        if np.any(np.diff(rho_t) <= 0):
+        if not np.all(np.diff(rho_t) > 0):
             raise ValueError("rho_table must be strictly increasing")
-        if np.any(p_t < 0) or np.any(np.diff(p_t) < 0):
+        if not (np.all(p_t >= 0) and np.all(np.diff(p_t) >= 0)):
             raise ValueError("p_table must be nonnegative and nondecreasing")
         object.__setattr__(self, "rho_table", rho_t)
         object.__setattr__(self, "p_table", p_t)
 
     def pressure(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0):
+        if not np.all(rho >= 0):
             raise ValueError("density must be >= 0")
         return np.interp(rho, self.rho_table, self.p_table)
 
@@ -88,7 +88,7 @@ class TabulatedLaw(PressureLaw):
         """Exact: on each piece p = a + b s, whose integral of p/s^2 is
         a (1/lo - 1/hi) + b ln(hi/lo); outside the table p is constant."""
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0):
+        if not np.all(rho >= 0):
             raise ValueError("density must be >= 0")
         r_t, p_t = self.rho_table, self.p_table
         b = np.concatenate(([0.0], np.diff(p_t) / np.diff(r_t), [0.0]))
@@ -119,7 +119,7 @@ class MaterialPair:
 
 def _check_fraction(w, name):
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0) & (w <= 1)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return w
 

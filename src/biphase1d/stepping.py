@@ -34,7 +34,7 @@ class StaggeredGrid:
         dx = np.empty_like(self.node_x)
         dx[1:] = np.diff(self.node_x)
         dx[0] = self.node_x[0] - self.node_x[-1] + self.length
-        if np.any(dx <= 0):
+        if not np.all(dx > 0):
             raise ValueError("cell widths must all be > 0")
         self.cell_dx = dx
         self.node_dx = 0.5 * (dx + np.roll(dx, -1))
@@ -51,6 +51,10 @@ class StaggeredGrid:
     def midpoints(self):
         """Cell centers, in the same unwrapped coordinates as node_x."""
         return self.node_x - 0.5 * self.cell_dx
+
+    def strain(self, u):
+        """Velocity gradient of each cell: its node-velocity jump over its width."""
+        return (u - np.roll(u, 1)) / self.cell_dx
 
 
 @dataclass
@@ -94,7 +98,7 @@ class StepOutcome:
 def node_density(cell_rho, grid):
     """Width-weighted average of the two cells adjacent to each node."""
     rho = np.asarray(cell_rho, dtype=float)
-    if np.any(rho <= 0):
+    if not np.all(rho > 0):
         raise ValueError("cell densities must be > 0")
     dx = grid.cell_dx
     dx_r = np.roll(dx, -1)
@@ -115,9 +119,9 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
     node_mass = np.asarray(node_mass, dtype=float)
     mu = np.asarray(mu_cells, dtype=float)
     p = np.asarray(p_cells, dtype=float)
-    if np.any(node_mass <= 0):
+    if not np.all(node_mass > 0):
         raise ValueError("node masses must be > 0")
-    if np.any(mu < 0):
+    if not np.all(mu >= 0):
         raise ValueError("viscosities must be >= 0")
 
     w_left = dt * mu / grid.cell_dx
@@ -145,7 +149,7 @@ def advance_positions(grid, u_new, dt):
 
 def update_cell_density(rho_old, dx_old, dx_new):
     """Scale densities so each cell keeps its mass: rho*dx is invariant."""
-    if np.any(np.asarray(dx_new) <= 0):
+    if not np.all(np.asarray(dx_new) > 0):
         raise ValueError("new cell widths must be > 0")
     return np.asarray(rho_old, dtype=float) * (np.asarray(dx_old) / np.asarray(dx_new))
 
@@ -199,7 +203,7 @@ def lagrangian_step(grid, u_old, rho_cells, mu_cells, p_cells, policy, dt_limit=
         )
 
     rho_new = update_cell_density(rho, grid.cell_dx, new_grid.cell_dx)
-    du_dx = (u_new - np.roll(u_new, 1)) / grid.cell_dx
-    dissipation = dt * float(np.sum(np.asarray(mu_cells) * du_dx**2 * grid.cell_dx))
+    dissipation = dt * float(np.sum(np.asarray(mu_cells) * grid.strain(u_new)**2
+                                    * grid.cell_dx))
     return StepOutcome(dt_used=dt, grid=new_grid, u=u_new, rho=rho_new,
                        dissipation_increment=dissipation, halvings=halvings)

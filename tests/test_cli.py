@@ -275,3 +275,15 @@ def test_python_dash_m_entry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert (tmp_path / "m" / "meso_density.dat").is_file()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", '{"cells": 1e18, "scheme": "macro"}'],
+    ["run", '{"cells": 4e21, "scheme": "macro"}'],
+    ["run", "test1", "--cells", "100000002"],
+    ["sweep", "test1", "--cells", "100,100000002"],
+])
+def test_cells_above_the_ceiling_are_config_errors(args, tmp_path, capsys):
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert "key 'cells': must be <= 100000000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

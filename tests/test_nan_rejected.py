@@ -1,0 +1,48 @@
+"""Every library input check rejects NaN, like the scalar checks do."""
+
+import numpy as np
+import pytest
+
+from biphase1d.materials import (MaterialPair, PowerLaw, TabulatedLaw, mixture_pressure,
+                                 mu_eff, p_eff, relaxation_rhs)
+from biphase1d.stepping import (StaggeredGrid, assemble_momentum, node_density,
+                                update_cell_density)
+
+NAN = float("nan")
+MAT = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.02)
+GRID = StaggeredGrid.uniform(4)
+ONES = np.ones(4)
+WITH_NAN = np.array([1.0, NAN, 1.0, 1.0])
+HALF_NAN = np.array([0.5, NAN, 0.5, 0.5])
+FRACTION = "volume fraction must lie in"
+
+CASES = {
+    "grid": (lambda: StaggeredGrid([0.1, NAN, 0.6]), "cell widths must all be > 0"),
+    "node_density": (lambda: node_density(WITH_NAN, GRID), "cell densities must be > 0"),
+    "node_mass": (lambda: assemble_momentum(GRID, ONES, ONES, ONES, WITH_NAN, 1e-3),
+                  "node masses must be > 0"),
+    "viscosity": (lambda: assemble_momentum(GRID, ONES, WITH_NAN, ONES, ONES, 1e-3),
+                  "viscosities must be >= 0"),
+    "new_width": (lambda: update_cell_density(ONES, GRID.cell_dx, WITH_NAN),
+                  "new cell widths must be > 0"),
+    "power_pressure": (lambda: PowerLaw(1.0, 2.0).pressure(NAN), "density must be >= 0"),
+    "power_potential": (lambda: PowerLaw(1.0, 2.0).potential(NAN), "density must be >= 0"),
+    "rho_table": (lambda: TabulatedLaw([0.5, NAN, 2.0], [0.5, 1.0, 2.0]),
+                  "rho_table must be strictly increasing"),
+    "p_table": (lambda: TabulatedLaw([0.5, 1.0, 2.0], [0.5, NAN, 2.0]),
+                "p_table must be nonnegative and nondecreasing"),
+    "tabulated_pressure": (lambda: TabulatedLaw([0.5, 2.0], [0.5, 2.0]).pressure(NAN),
+                           "density must be >= 0"),
+    "tabulated_potential": (lambda: TabulatedLaw([0.5, 2.0], [0.5, 2.0]).potential(NAN),
+                            "density must be >= 0"),
+    "color": (lambda: mixture_pressure(HALF_NAN, ONES, MAT), "color must lie in"),
+    "mu_eff": (lambda: mu_eff(HALF_NAN, MAT), FRACTION),
+    "p_eff": (lambda: p_eff(HALF_NAN, ONES, ONES, MAT), FRACTION),
+    "relaxation_rhs": (lambda: relaxation_rhs(HALF_NAN, ONES, ONES, ONES, MAT), FRACTION),
+}
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+def test_nan_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,7 +1,8 @@
 """Invariants stated as properties over random inputs: the closed-form
 tabulated potential against quadrature, mass and length conservation of
-the kernel step, the one dt-halving budget of a step, and the window
-integrals of coarse-graining against a cell-by-cell walk."""
+the kernel step, the one dt-halving budget of a step, the window
+integrals of coarse-graining against a cell-by-cell walk, colour purity
+of meso runs, and the momentum solve against a dense oracle."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import window_walk
+from conftest import dense_solve, window_walk
 
 from biphase1d.diagnostics import _window_sums
 from biphase1d.errors import StepFailure
 from biphase1d.macro import MacroState
 from biphase1d.materials import TabulatedLaw
-from biphase1d.meso import MesoState
-from biphase1d.stepping import StaggeredGrid, StepPolicy, choose_dt, lagrangian_step
+from biphase1d.cli import parse_config
+from biphase1d.meso import MesoState, init_meso_riemann, run_meso
+from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum, choose_dt,
+                                lagrangian_step)
+from biphase1d.tridiag import solve_cyclic_tridiagonal
 
 
 def potential_by_quadrature(law, rho):
@@ -182,3 +186,36 @@ def test_window_sums_match_the_cell_walk(state):
             scale = np.roll(near, 1) + near + np.roll(near, -1)
             assert got[key].shape == (K,)
             assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * scale), (K, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(half_J=st.integers(2, 20), t_end=st.floats(0.0, 0.01),
+       gamma_plus=st.floats(1.0, 5.0), gamma_minus=st.floats(1.0, 5.0),
+       K_plus=st.floats(0.1, 10.0), K_minus=st.floats(0.1, 10.0),
+       mu_plus=st.floats(1e-3, 1.0), mu_minus=st.floats(1e-3, 1.0))
+def test_meso_run_keeps_the_colour_field(half_J, t_end, gamma_plus, gamma_minus,
+                                         K_plus, K_minus, mu_plus, mu_minus):
+    J = 2 * half_J
+    config = parse_config({"scheme": "meso", "cells": J, "t_end": t_end,
+                           "gamma_plus": gamma_plus, "gamma_minus": gamma_minus,
+                           "K_plus": K_plus, "K_minus": K_minus,
+                           "mu_plus": mu_plus, "mu_minus": mu_minus})
+    state, _ = run_meso(config)
+    assert state.t == t_end
+    assert state.c.tobytes() == init_meso_riemann(J).c.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), J=st.integers(3, 40),
+       dt=st.floats(1e-6, 1.0), length=st.floats(0.1, 10.0))
+def test_momentum_solve_matches_the_dense_oracle(seed, J, dt, length):
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.1, 1.0, J)
+    grid = StaggeredGrid(np.cumsum(widths) * (length / widths.sum()), length)
+    system = assemble_momentum(grid, rng.uniform(-2.0, 2.0, J), rng.uniform(0.0, 1.0, J),
+                               rng.uniform(0.0, 10.0, J), rng.uniform(1e-3, 10.0, J), dt)
+    x = solve_cyclic_tridiagonal(system)
+    ref = dense_solve(system.sub, system.diag, system.sup, system.rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    scale = np.max(np.abs(system.diag)) * np.max(np.abs(x)) + np.max(np.abs(system.rhs))
+    assert np.max(np.abs(system.matvec(x) - system.rhs)) <= 1e-13 * scale
