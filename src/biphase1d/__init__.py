@@ -20,7 +20,7 @@ from .materials import (WEIGHTING_CROSS, WEIGHTING_OWN, WEIGHTINGS,
 from .meso import MesoState, init_meso_riemann, run_meso, step_meso
 from .stepping import (StaggeredGrid, StepOutcome, StepPolicy,
                        advance_positions, assemble_momentum, choose_dt,
-                       lagrangian_step, node_density, update_cell_density)
+                       lagrangian_step, node_mass)
 from .tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
 from .cli import PRESETS, RunConfig, parse_config, run_experiment, run_sweep
 
@@ -36,8 +36,7 @@ __all__ = [
     "relaxation_rhs", "relaxation_weights",
     "MesoState", "init_meso_riemann", "run_meso", "step_meso",
     "StaggeredGrid", "StepOutcome", "StepPolicy", "advance_positions",
-    "assemble_momentum", "choose_dt", "lagrangian_step", "node_density",
-    "update_cell_density",
+    "assemble_momentum", "choose_dt", "lagrangian_step", "node_mass",
     "CyclicTridiagonalSystem", "solve_cyclic_tridiagonal",
     "PRESETS", "RunConfig", "parse_config", "run_experiment", "run_sweep",
 ]

@@ -35,7 +35,6 @@ _DEFAULTS = {
     "weighting": "cross",
     "cfl_theta": 0.4,
     "dt_max": 1e-4,
-    "relax_eta": 0.5,
     "coarse_K": None,  # derived: ~20 fine cells per window, capped at 50
     "output_dir": "biphase1d-out",
     "cadence": 100,
@@ -134,8 +133,7 @@ def _build_config(raw):
             mu_minus=_as_float(merged, "mu_minus", 0.0, strict=True),
         )
         policy = StepPolicy(cfl_theta=_as_float(merged, "cfl_theta"),
-                            dt_max=_as_float(merged, "dt_max", 0.0, strict=True),
-                            relax_eta=_as_float(merged, "relax_eta", 0.0, strict=True))
+                            dt_max=_as_float(merged, "dt_max", 0.0, strict=True))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

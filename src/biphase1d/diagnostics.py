@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import mixture_potential
-from .stepping import node_density
+from .stepping import node_mass
 
 GAP_DEGENERATE = 1e-12
 
@@ -70,16 +70,14 @@ def total_mass(state):
 def total_energy(state, mat):
     """(kinetic, internal, dissipated, total).
 
-    Kinetic energy lives on nodes with the width-averaged density;
-    internal energy is the mixture pressure potential at the cell
-    mixture density; the dissipated part is the state's accumulated
-    viscous integral.
+    Kinetic energy lives on nodes, each carrying half the mass of each of
+    its two cells; internal energy is the mixture pressure potential at
+    the cell mixture density; the dissipated part is the state's
+    accumulated viscous integral.
     """
     grid = state.grid
-    rho_mix = state.rho
-    node_mass = node_density(rho_mix, grid) * grid.node_dx
-    kinetic = 0.5 * float(np.sum(node_mass * np.asarray(state.u) ** 2))
-    internal = float(np.sum(mixture_potential(state.weight, rho_mix, mat) * grid.cell_dx))
+    kinetic = 0.5 * float(np.sum(node_mass(state.cell_mass) * np.asarray(state.u) ** 2))
+    internal = float(np.sum(mixture_potential(state.weight, state.rho, mat) * grid.cell_dx))
     total = kinetic + internal + state.dissipated
     return kinetic, internal, state.dissipated, total
 

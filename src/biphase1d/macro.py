@@ -15,6 +15,8 @@ from .stepping import StaggeredGrid, lagrangian_step
 
 # below this distance from 0 or 1, a phase volume is too small to divide by
 ALPHA_GUARD = 1e-12
+# the largest volume-fraction increment of a step, as a share of min(alpha, 1 - alpha)
+RELAX_ETA = 0.5
 # slack so the relaxation dt limiter never stalls at alpha in {0, 1}
 RELAX_SLACK = 1e-6
 
@@ -74,8 +76,8 @@ def _phase_density(mass, fraction, dx, rho_old):
 def step_macro(state, mat, weighting, policy, dt_limit=None):
     """One homogenized step.
 
-    The mixture density rides the shared Lagrangian kernel with the
-    effective viscosity and pressure; the volume fraction then takes a
+    The cell masses ride the shared Lagrangian kernel with the effective
+    viscosity and pressure; the volume fraction then takes a
     forward-Euler relaxation increment built from the *new* velocities
     and cell widths, is clamped to [0, 1] (counted), and the phase
     densities are recovered from the constant phase masses.  The dt is
@@ -89,7 +91,7 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
         return relaxation_rhs(state.alpha, state.rho_plus, state.rho_minus,
                               grid.strain(u), mat)
 
-    bound = policy.relax_eta * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
+    bound = RELAX_ETA * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
     with np.errstate(divide="ignore"):
         cap = float(np.min(bound / np.abs(rate(state.u, state.grid))))
     if dt_limit is not None:
@@ -102,7 +104,7 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
         d_alpha = dt * rate(u_new, new_grid)
         return bool(np.all(np.abs(d_alpha) <= bound))
 
-    out = lagrangian_step(state.grid, state.u, state.rho, mu_cells, p_cells,
+    out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
                           policy, dt_limit=cap, accept=increment_within_bound)
 
     alpha_raw = state.alpha + d_alpha

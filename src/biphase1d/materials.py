@@ -36,10 +36,10 @@ class PowerLaw(PressureLaw):
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise ValueError(f"pressure coefficient must be > 0, got {self.K}")
-        if not self.gamma >= 1:
-            raise ValueError(f"pressure exponent must be >= 1, got {self.gamma}")
+        if not 0 < self.K < np.inf:
+            raise ValueError(f"pressure coefficient must be > 0 and finite, got {self.K}")
+        if not 1 <= self.gamma < np.inf:
+            raise ValueError(f"pressure exponent must be >= 1 and finite, got {self.gamma}")
 
     def pressure(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -105,7 +105,7 @@ class TabulatedLaw(PressureLaw):
 
 @dataclass(frozen=True)
 class MaterialPair:
-    """The two phases: pressure laws and constant viscosities mu > 0."""
+    """The two phases: pressure laws and constant finite viscosities mu > 0."""
 
     law_plus: PressureLaw
     law_minus: PressureLaw
@@ -113,8 +113,8 @@ class MaterialPair:
     mu_minus: float
 
     def __post_init__(self):
-        if not (self.mu_plus > 0 and self.mu_minus > 0):
-            raise ValueError("viscosities must be > 0")
+        if not (0 < self.mu_plus < np.inf and 0 < self.mu_minus < np.inf):
+            raise ValueError("viscosities must be > 0 and finite")
 
 
 def _check_fraction(w, name):

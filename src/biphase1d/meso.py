@@ -21,12 +21,13 @@ RHO_SANE_MAX = 1e4
 
 @dataclass
 class MesoState:
-    """Sharp-interface state.  ``weight``, ``rho_plus``, ``rho_minus``,
-    ``cell_mass`` and ``alpha`` are the view it shares with MacroState."""
+    """Sharp-interface state; each cell mass is constant for the whole run.
+    ``weight``, ``rho``, ``rho_plus``, ``rho_minus``, ``cell_mass`` and
+    ``alpha`` are the view it shares with MacroState."""
 
     grid: StaggeredGrid
     u: np.ndarray
-    rho: np.ndarray
+    cell_mass: np.ndarray
     c: np.ndarray
     t: float = 0.0
     dissipated: float = 0.0
@@ -37,16 +38,12 @@ class MesoState:
         return self.c
 
     @property
-    def rho_plus(self):
-        return self.rho
+    def rho(self):
+        """Cell density: the constant cell mass over the current width."""
+        return self.cell_mass / self.grid.cell_dx
 
-    @property
-    def rho_minus(self):
-        return self.rho
-
-    @property
-    def cell_mass(self):
-        return self.rho * self.grid.cell_dx
+    # a pure cell's phase density is its density
+    rho_plus = rho_minus = rho
 
     @property
     def alpha(self):
@@ -76,27 +73,29 @@ def riemann_density(x):
 def init_meso_riemann(J, stride=1):
     """Alternating-phase datum on a uniform mesh.
 
-    Phase + occupies runs of ``stride`` cells starting at cell 0; the
-    density is the Riemann datum sampled at cell midpoints; velocity 0.
+    Phase + occupies runs of ``stride`` cells starting at cell 0; each
+    cell's mass is its width times the Riemann datum sampled at its
+    midpoint; velocity 0.
     """
     if J < 4 or J % (2 * stride) != 0:
         raise ValueError(f"cell count must be >= 4 and a multiple of {2 * stride}")
     grid = StaggeredGrid.uniform(J)
     c = np.where((np.arange(J) // stride) % 2 == 0, 1.0, 0.0)
-    rho = riemann_density(grid.midpoints)
-    return MesoState(grid=grid, u=np.zeros(J), rho=rho, c=c)
+    return MesoState(grid=grid, u=np.zeros(J),
+                     cell_mass=riemann_density(grid.midpoints) * grid.cell_dx, c=c)
 
 
 def step_meso(state, mat, policy, dt_limit=None):
     """Advance one step: mixture coefficients per cell, then the shared
-    Lagrangian kernel.  The color field is carried over untouched."""
+    Lagrangian kernel.  The color field and the cell masses are carried
+    over untouched."""
     _check_purity(state.c)
     p_cells = mixture_pressure(state.c, state.rho, mat)
     mu_cells = mixture_viscosity(state.c, mat)
-    out = lagrangian_step(state.grid, state.u, state.rho, mu_cells, p_cells,
+    out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
                           policy, dt_limit=dt_limit)
-    check_density(out.rho, state.t, out.dt_used)
-    return replace(state, grid=out.grid, u=out.u, rho=out.rho,
+    check_density(state.cell_mass / out.grid.cell_dx, state.t, out.dt_used)
+    return replace(state, grid=out.grid, u=out.u,
                    t=state.t + out.dt_used,
                    dissipated=state.dissipated + out.dissipation_increment)
 

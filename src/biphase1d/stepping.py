@@ -1,6 +1,7 @@
-"""Staggered pseudo-Lagrangian time step on the periodic unit interval.
+"""Staggered pseudo-Lagrangian time step on the periodic unit interval:
+an implicit momentum solve, then mesh motion; densities are mass / width.
 
-Cell quantities (density, color / volume fraction, pressure, viscosity)
+Cell quantities (mass, color / volume fraction, pressure, viscosity)
 live on moving cells; velocities live on the cell interfaces (nodes).
 Node j is the interface at ``node_x[j]``, cell j is the interval ending
 there, so cell j+1 (mod J) lies to the node's right.  Node coordinates
@@ -23,21 +24,19 @@ class StaggeredGrid:
     node_x: np.ndarray
     length: float = 1.0
     cell_dx: np.ndarray = field(init=False, repr=False)
-    node_dx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.node_x = np.asarray(self.node_x, dtype=float)
         if self.node_x.ndim != 1 or self.node_x.size < 3:
             raise ValueError("grid needs at least 3 interface positions")
-        if not self.length > 0:
-            raise ValueError("domain length must be > 0")
+        if not 0 < self.length < np.inf:
+            raise ValueError("domain length must be > 0 and finite")
         dx = np.empty_like(self.node_x)
         dx[1:] = np.diff(self.node_x)
         dx[0] = self.node_x[0] - self.node_x[-1] + self.length
         if not np.all(dx > 0):
             raise ValueError("cell widths must all be > 0")
         self.cell_dx = dx
-        self.node_dx = 0.5 * (dx + np.roll(dx, -1))
 
     @classmethod
     def uniform(cls, J, length=1.0):
@@ -64,25 +63,20 @@ class StepPolicy:
     cfl_theta bounds the fraction of the smallest cell a node may sweep
     per step (predicted from the current velocity jumps); dt_max is an
     absolute cap; max_halvings is the one dt-halving budget of a step,
-    shared by cell inversions and the scheme's own rejections (the
-    two-phase relaxation bound); relax_eta bounds the per-step
-    volume-fraction increment of the two-phase scheme.
+    shared by cell inversions and the macro scheme's relaxation rejections.
     """
 
     cfl_theta: float = 0.4
     dt_max: float = 1e-4
     max_halvings: int = 40
-    relax_eta: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.cfl_theta < 1:
             raise ValueError("cfl_theta must lie in (0, 1)")
-        if not self.dt_max > 0:
-            raise ValueError("dt_max must be > 0")
+        if not 0 < self.dt_max < np.inf:
+            raise ValueError("dt_max must be > 0 and finite")
         if self.max_halvings < 1:
             raise ValueError("max_halvings must be >= 1")
-        if not self.relax_eta > 0:
-            raise ValueError("relax_eta must be > 0")
 
 
 @dataclass
@@ -90,19 +84,18 @@ class StepOutcome:
     dt_used: float
     grid: StaggeredGrid
     u: np.ndarray
-    rho: np.ndarray
     dissipation_increment: float
     halvings: int = 0
 
 
-def node_density(cell_rho, grid):
-    """Width-weighted average of the two cells adjacent to each node."""
-    rho = np.asarray(cell_rho, dtype=float)
-    if not np.all(rho > 0):
-        raise ValueError("cell densities must be > 0")
-    dx = grid.cell_dx
-    dx_r = np.roll(dx, -1)
-    return (dx * rho + dx_r * np.roll(rho, -1)) / (dx + dx_r)
+def node_mass(cell_mass):
+    """Node masses: half of each adjacent cell's mass.  Every cell mass
+    must be > 0, as a negative cell between heavier neighbours still
+    leaves both of its node masses positive."""
+    m = np.asarray(cell_mass, dtype=float)
+    if not np.all(m > 0):
+        raise ValueError("cell masses must be > 0")
+    return 0.5 * (m + np.roll(m, -1))
 
 
 def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
@@ -147,13 +140,6 @@ def advance_positions(grid, u_new, dt):
         return None
 
 
-def update_cell_density(rho_old, dx_old, dx_new):
-    """Scale densities so each cell keeps its mass: rho*dx is invariant."""
-    if not np.all(np.asarray(dx_new) > 0):
-        raise ValueError("new cell widths must be > 0")
-    return np.asarray(rho_old, dtype=float) * (np.asarray(dx_old) / np.asarray(dx_new))
-
-
 def choose_dt(grid, u_old, policy):
     """CFL-style predictor: limit mesh deformation per step.
 
@@ -165,9 +151,10 @@ def choose_dt(grid, u_old, policy):
     return min(policy.dt_max, policy.cfl_theta * np.min(grid.cell_dx) / (jump + _CFL_EPS))
 
 
-def lagrangian_step(grid, u_old, rho_cells, mu_cells, p_cells, policy, dt_limit=None,
+def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit=None,
                     accept=None):
-    """One full step: implicit momentum solve, mesh motion, density update.
+    """One step: the implicit momentum solve, then mesh motion; densities
+    are mass / width, and cells keep their masses, so none is updated.
 
     The dt candidate comes from choose_dt (optionally capped by dt_limit,
     e.g. to land on an output time).  An attempt whose velocities would
@@ -177,19 +164,17 @@ def lagrangian_step(grid, u_old, rho_cells, mu_cells, p_cells, policy, dt_limit=
     dt * sum(mu (du/dx)^2 dx) evaluated with the new velocities on the
     pre-step mesh, matching the implicit discretization.
     """
-    rho = np.asarray(rho_cells, dtype=float)
-    # the node densities and the assembled system stay unnamed so they die
-    # at once: at large J fewer live temporaries keep the heap from being
-    # trimmed and refaulted every step
-    node_mass = node_density(rho, grid) * grid.node_dx
+    m_node = node_mass(cell_mass)
 
     dt = choose_dt(grid, u_old, policy)
     if dt_limit is not None:
         dt = min(dt, dt_limit)
 
     for halvings in range(policy.max_halvings + 1):
+        # the system stays unnamed so it dies at once: fewer live temporaries
+        # at large J keep the heap from being trimmed and refaulted every step
         u_new = solve_cyclic_tridiagonal(
-            assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt))
+            assemble_momentum(grid, u_old, mu_cells, p_cells, m_node, dt))
         new_grid = advance_positions(grid, u_new, dt)
         if new_grid is not None and (accept is None or accept(u_new, new_grid, dt)):
             break
@@ -202,8 +187,7 @@ def lagrangian_step(grid, u_old, rho_cells, mu_cells, p_cells, policy, dt_limit=
                          "max_u": float(np.max(np.abs(u_new)))},
         )
 
-    rho_new = update_cell_density(rho, grid.cell_dx, new_grid.cell_dx)
     dissipation = dt * float(np.sum(np.asarray(mu_cells) * grid.strain(u_new)**2
                                     * grid.cell_dx))
-    return StepOutcome(dt_used=dt, grid=new_grid, u=u_new, rho=rho_new,
+    return StepOutcome(dt_used=dt, grid=new_grid, u=u_new,
                        dissipation_increment=dissipation, halvings=halvings)

@@ -153,7 +153,7 @@ def test_criterion_06_pure_phase_consistency():
     mat = parse_config("test2").mat
     grid = StaggeredGrid.uniform(J)
     rho0 = riemann_density(grid.midpoints)
-    meso = MesoState(grid=grid, u=np.zeros(J), rho=rho0.copy(), c=np.ones(J))
+    meso = MesoState(grid=grid, u=np.zeros(J), cell_mass=rho0 * grid.cell_dx, c=np.ones(J))
     macro = MacroState(grid=StaggeredGrid.uniform(J), u=np.zeros(J),
                        alpha=np.ones(J), mass_plus=rho0 * grid.cell_dx,
                        mass_minus=np.zeros(J), rho_plus=rho0.copy(),

@@ -54,6 +54,9 @@ class TestParse:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="viscosity_plus"):
             parse_config('{"viscosity_plus": 0.1}')
+        # the relaxation bound is the constant macro.RELAX_ETA, not a key
+        with pytest.raises(ConfigError, match="unknown config key 'relax_eta'"):
+            parse_config('{"relax_eta": 0.5}')
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -85,7 +88,7 @@ class TestParse:
 class TestWriters:
     def test_uniform_density_file(self, tmp_path):
         g = StaggeredGrid.uniform(4)
-        s = MesoState(grid=g, u=np.zeros(4), rho=np.ones(4), c=np.ones(4))
+        s = MesoState(grid=g, u=np.zeros(4), cell_mass=g.cell_dx, c=np.ones(4))
         path = tmp_path / "rho.dat"
         write_fields(s, path, columns=("rho",))
         lines = path.read_text().splitlines()
@@ -138,7 +141,7 @@ class TestWriters:
 
     def test_seventeen_significant_digits(self, tmp_path):
         g = StaggeredGrid.uniform(4)
-        s = MesoState(grid=g, u=np.zeros(4), rho=np.full(4, 1.0 / 3.0), c=np.ones(4))
+        s = MesoState(grid=g, u=np.zeros(4), cell_mass=g.cell_dx / 3.0, c=np.ones(4))
         path = tmp_path / "rho.dat"
         write_fields(s, path, columns=("rho",))
         val = path.read_text().splitlines()[1].split()[1]

@@ -21,7 +21,7 @@ def alternating_state(J=32, rho_plus=4.0, rho_minus=0.8):
     grid = StaggeredGrid.uniform(J)
     c = np.where(np.arange(J) % 2 == 0, 1.0, 0.0)
     rho = np.where(c == 1, rho_plus, rho_minus)
-    return MesoState(grid=grid, u=np.zeros(J), rho=rho, c=c)
+    return MesoState(grid=grid, u=np.zeros(J), cell_mass=rho * grid.cell_dx, c=c)
 
 
 class TestMassAndEnergy:
@@ -32,7 +32,7 @@ class TestMassAndEnergy:
 
     def test_uniform_unit_density(self):
         g = StaggeredGrid.uniform(10)
-        s = MesoState(grid=g, u=np.zeros(10), rho=np.ones(10), c=np.ones(10))
+        s = MesoState(grid=g, u=np.zeros(10), cell_mass=g.cell_dx, c=np.ones(10))
         assert np.isclose(total_mass(s), 1.0, rtol=1e-15)
 
     def test_mass_unchanged_by_step(self):
@@ -43,7 +43,7 @@ class TestMassAndEnergy:
 
     def test_rest_unit_density_has_zero_energy(self):
         g = StaggeredGrid.uniform(10)
-        s = MesoState(grid=g, u=np.zeros(10), rho=np.ones(10), c=np.zeros(10))
+        s = MesoState(grid=g, u=np.zeros(10), cell_mass=g.cell_dx, c=np.zeros(10))
         kin, internal, diss, tot = total_energy(s, MAT1)
         assert kin == 0.0 and internal == 0.0 and diss == 0.0 and tot == 0.0
 

@@ -67,7 +67,7 @@ class TestStep:
 
     def test_single_phase_uniform_is_fixed_point(self):
         grid = StaggeredGrid.uniform(8)
-        s = MesoState(grid=grid, u=np.zeros(8), rho=np.full(8, 2.0), c=np.ones(8))
+        s = MesoState(grid=grid, u=np.zeros(8), cell_mass=2.0 * grid.cell_dx, c=np.ones(8))
         s2 = step_meso(s, MAT1, StepPolicy(dt_max=1e-3))
         assert np.array_equal(s2.u, s.u)
         assert np.array_equal(s2.rho, s.rho)
@@ -124,7 +124,7 @@ def mirror(state):
     new_x = L - grid.node_x[::-1]
     idx = (-np.arange(grid.J)) % grid.J
     return MesoState(grid=StaggeredGrid(new_x, L), u=-state.u[::-1],
-                     rho=state.rho[idx], c=state.c[idx],
+                     cell_mass=state.cell_mass[idx], c=state.c[idx],
                      t=state.t, dissipated=state.dissipated)
 
 
@@ -132,8 +132,9 @@ def test_reversal_symmetry():
     # no directional bias: stepping commutes with mirroring
     rng = np.random.default_rng(12)
     J = 16
-    s = MesoState(grid=StaggeredGrid.uniform(J), u=rng.normal(scale=0.1, size=J),
-                  rho=rng.uniform(0.3, 2.5, J),
+    grid = StaggeredGrid.uniform(J)
+    s = MesoState(grid=grid, u=rng.normal(scale=0.1, size=J),
+                  cell_mass=rng.uniform(0.3, 2.5, J) * grid.cell_dx,
                   c=np.where(np.arange(J) % 2 == 0, 1.0, 0.0))
     pol = StepPolicy(dt_max=1e-3)
     a, b = s, mirror(s)

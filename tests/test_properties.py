@@ -2,7 +2,8 @@
 tabulated potential against quadrature, mass and length conservation of
 the kernel step, the one dt-halving budget of a step, the window
 integrals of coarse-graining against a cell-by-cell walk, colour purity
-of meso runs, and the momentum solve against a dense oracle."""
+of meso runs, bit-exact cell masses of meso and macro runs, and the
+momentum solve against a dense oracle."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conftest import dense_solve, window_walk
 
 from biphase1d.diagnostics import _window_sums
 from biphase1d.errors import StepFailure
-from biphase1d.macro import MacroState
+from biphase1d.macro import MacroState, init_macro_riemann, run_macro
 from biphase1d.materials import TabulatedLaw
 from biphase1d.cli import parse_config
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso
@@ -76,12 +77,12 @@ def test_step_conserves_cell_mass_and_length(seed, J, dt_max, length):
     rng = np.random.default_rng(seed)
     widths = rng.uniform(0.1, 1.0, J)
     grid = StaggeredGrid(np.cumsum(widths) * (length / widths.sum()), length)
-    rho = rng.uniform(0.1, 10.0, J)
-    out = lagrangian_step(grid, rng.uniform(-1.0, 1.0, J), rho,
+    mass = rng.uniform(0.1, 10.0, J) * grid.cell_dx
+    kept = mass.copy()
+    out = lagrangian_step(grid, rng.uniform(-1.0, 1.0, J), mass,
                           rng.uniform(0.0, 1.0, J), rng.uniform(0.0, 10.0, J),
                           StepPolicy(dt_max=dt_max, max_halvings=60))
-    assert np.allclose(out.rho * out.grid.cell_dx, rho * grid.cell_dx,
-                       rtol=1e-13, atol=0.0)
+    assert np.array_equal(mass, kept)
     assert out.grid.length == length
     assert abs(np.sum(out.grid.cell_dx) - length) <= 1e-12 * length
 
@@ -90,14 +91,15 @@ def quiet_step_inputs(J=16):
     """Smooth inputs on which the kernel never inverts a cell at dt_max=1e-4."""
     grid = StaggeredGrid.uniform(J)
     x = grid.midpoints
-    return (grid, 0.1 * np.sin(2 * np.pi * grid.node_x), 1.0 + 0.5 * np.sin(2 * np.pi * x),
+    return (grid, 0.1 * np.sin(2 * np.pi * grid.node_x),
+            (1.0 + 0.5 * np.sin(2 * np.pi * x)) * grid.cell_dx,
             np.full(J, 0.1), 1.0 + 0.5 * np.cos(2 * np.pi * x))
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(0, 8), max_halvings=st.integers(1, 8))
 def test_rejections_halve_dt_within_one_budget(k, max_halvings):
-    grid, u, rho, mu, p = quiet_step_inputs()
+    grid, u, mass, mu, p = quiet_step_inputs()
     policy = StepPolicy(dt_max=1e-4, max_halvings=max_halvings)
     dt0 = choose_dt(grid, u, policy)
     tried = []
@@ -109,10 +111,10 @@ def test_rejections_halve_dt_within_one_budget(k, max_halvings):
     if k > max_halvings:
         with pytest.raises(StepFailure,
                            match=f"step rejection persisted after {max_halvings} dt halvings"):
-            lagrangian_step(grid, u, rho, mu, p, policy, accept=reject_first_k)
+            lagrangian_step(grid, u, mass, mu, p, policy, accept=reject_first_k)
         assert len(tried) == max_halvings + 1
         return
-    out = lagrangian_step(grid, u, rho, mu, p, policy, accept=reject_first_k)
+    out = lagrangian_step(grid, u, mass, mu, p, policy, accept=reject_first_k)
     assert out.halvings == k
     assert out.dt_used == dt0 * 0.5**k
     assert tried == [dt0 * 0.5**i for i in range(k + 1)]
@@ -122,7 +124,7 @@ def test_inversions_and_rejections_share_the_budget():
     # u_old = 0 defeats the CFL predictor, so the alternating pressure
     # inverts cells at the dt_max try and forces halvings
     grid = StaggeredGrid.uniform(8)
-    args = (grid, np.zeros(8), np.ones(8), np.zeros(8),
+    args = (grid, np.zeros(8), grid.cell_dx, np.zeros(8),
             np.where(np.arange(8) % 2 == 0, 100.0, 0.0))
     inversions = lagrangian_step(*args, StepPolicy(dt_max=1.0, max_halvings=60)).halvings
     assert inversions > 0
@@ -156,7 +158,7 @@ def torus_states(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rng.uniform(-2.0, 2.0, J)
     if draw(st.booleans()):
-        return MesoState(grid=grid, u=u, rho=rng.uniform(0.1, 5.0, J),
+        return MesoState(grid=grid, u=u, cell_mass=rng.uniform(0.1, 5.0, J) * grid.cell_dx,
                          c=rng.integers(0, 2, J).astype(float))
     alpha = rng.uniform(0.0, 1.0, J)
     rho_p, rho_m = rng.uniform(0.1, 5.0, J), rng.uniform(0.1, 5.0, J)
@@ -174,7 +176,7 @@ def test_window_sums_match_the_cell_walk(state):
     # edge, both sides may hand a sliver of the neighbouring cell to
     # either window.  Every integrand but the velocity is nonnegative; the
     # walk over |u| bounds the integral of |u|.
-    speed = MesoState(grid=state.grid, u=np.abs(state.u), rho=np.ones(state.grid.J),
+    speed = MesoState(grid=state.grid, u=np.abs(state.u), cell_mass=state.grid.cell_dx,
                       c=np.ones(state.grid.J))
     for K in range(1, state.grid.J):
         got, ref = _window_sums(state, K), window_walk(state, K)
@@ -203,6 +205,31 @@ def test_meso_run_keeps_the_colour_field(half_J, t_end, gamma_plus, gamma_minus,
     state, _ = run_meso(config)
     assert state.t == t_end
     assert state.c.tobytes() == init_meso_riemann(J).c.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(scheme=st.sampled_from(("meso", "macro")), half_J=st.integers(2, 20),
+       t_end=st.floats(0.0, 0.01), weighting=st.sampled_from(("cross", "paper")),
+       gamma_plus=st.floats(1.0, 5.0), gamma_minus=st.floats(1.0, 5.0),
+       K_plus=st.floats(0.1, 10.0), K_minus=st.floats(0.1, 10.0),
+       mu_plus=st.floats(1e-3, 1.0), mu_minus=st.floats(1e-3, 1.0))
+def test_runs_keep_every_cell_mass(scheme, half_J, t_end, weighting, gamma_plus,
+                                   gamma_minus, K_plus, K_minus, mu_plus, mu_minus):
+    J = 2 * half_J
+    config = parse_config({"scheme": scheme, "cells": J, "t_end": t_end,
+                           "weighting": weighting,
+                           "gamma_plus": gamma_plus, "gamma_minus": gamma_minus,
+                           "K_plus": K_plus, "K_minus": K_minus,
+                           "mu_plus": mu_plus, "mu_minus": mu_minus})
+    if scheme == "meso":
+        state, _ = run_meso(config)
+        assert np.array_equal(state.cell_mass, init_meso_riemann(J).cell_mass)
+    else:
+        state, _ = run_macro(config)
+        init = init_macro_riemann(J)
+        assert np.array_equal(state.mass_plus, init.mass_plus)
+        assert np.array_equal(state.mass_minus, init.mass_minus)
+    assert state.t == t_end
 
 
 @settings(max_examples=60, deadline=None)

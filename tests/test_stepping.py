@@ -1,12 +1,12 @@
-"""Staggered grid, momentum assembly, mesh motion, and the full step."""
+"""Staggered grid, node masses, momentum assembly, mesh motion, and the full step."""
 
 import numpy as np
 import pytest
 
 from biphase1d.errors import StepFailure
+from biphase1d.meso import MesoState
 from biphase1d.stepping import (StaggeredGrid, StepPolicy, advance_positions,
-                                assemble_momentum, choose_dt, lagrangian_step,
-                                node_density, update_cell_density)
+                                assemble_momentum, choose_dt, lagrangian_step, node_mass)
 from biphase1d.tridiag import solve_cyclic_tridiagonal
 
 
@@ -15,12 +15,22 @@ def policy(**kw):
     return StepPolicy(**kw)
 
 
+def node_density(rho, g):
+    """The density the node masses imply: the node mass over the node's
+    dual width, half of each adjacent cell's width."""
+    dx = g.cell_dx
+    return node_mass(rho * dx) / (0.5 * (dx + np.roll(dx, -1)))
+
+
+def density_state(g, rho):
+    return MesoState(grid=g, u=np.zeros(g.J), cell_mass=rho * g.cell_dx, c=np.ones(g.J))
+
+
 class TestGrid:
     def test_uniform(self):
         g = StaggeredGrid.uniform(4)
         assert np.allclose(g.node_x, [0.25, 0.5, 0.75, 1.0])
         assert np.allclose(g.cell_dx, 0.25)
-        assert np.allclose(g.node_dx, 0.25)
         assert np.allclose(g.midpoints, [0.125, 0.375, 0.625, 0.875])
 
     def test_total_length(self):
@@ -40,6 +50,9 @@ class TestGrid:
 
 
 class TestNodeDensity:
+    """The node mass is the width-weighted mean density of the node's two
+    cells times its dual width."""
+
     def test_equal_width_average(self):
         g = StaggeredGrid.uniform(4)
         rho = np.array([1.0, 3.0, 1.0, 3.0])
@@ -67,7 +80,7 @@ class TestNodeDensity:
 
     def test_nonpositive_density_rejected(self):
         g = StaggeredGrid.uniform(4)
-        with pytest.raises(ValueError, match="densities"):
+        with pytest.raises(ValueError, match="cell masses must be > 0"):
             node_density(np.array([1.0, -1.0, 1.0, 1.0]), g)
 
 
@@ -146,30 +159,34 @@ class TestMeshMotion:
 
 
 class TestDensityUpdate:
+    """A density is its cell's constant mass over the cell's current width."""
+
     def test_unchanged_widths(self):
-        rho = np.array([1.0, 2.0, 3.0])
-        dx = np.array([0.1, 0.2, 0.7])
-        assert np.array_equal(update_cell_density(rho, dx, dx), rho)
+        g = StaggeredGrid(np.array([0.1, 0.3, 1.0]), length=1.0)
+        s = density_state(g, np.array([1.0, 2.0, 3.0]))
+        moved = MesoState(grid=advance_positions(g, np.zeros(3), 0.1), u=s.u,
+                          cell_mass=s.cell_mass, c=s.c)
+        assert np.array_equal(moved.rho, s.rho)
 
     def test_doubled_width_halves_density(self):
-        assert update_cell_density(np.array([2.0]), np.array([0.5]),
-                                   np.array([1.0]))[0] == 1.0
+        s = density_state(StaggeredGrid.uniform(4), np.full(4, 2.0))
+        doubled = MesoState(grid=StaggeredGrid.uniform(4, length=2.0), u=s.u,
+                            cell_mass=s.cell_mass, c=s.c)
+        assert np.all(doubled.rho == 1.0)
 
     def test_hand_value(self):
-        got = update_cell_density(np.array([2.0]), np.array([0.001]), np.array([0.0008]))
-        assert np.isclose(got[0], 2.5, rtol=1e-15)
+        # widths (1/4, 1/4, 1/2) and masses (1/2, 1/8, 1/2)
+        g = StaggeredGrid(np.array([0.25, 0.5, 1.0]), length=1.0)
+        s = MesoState(grid=g, u=np.zeros(3), cell_mass=np.array([0.5, 0.125, 0.5]),
+                      c=np.ones(3))
+        assert np.array_equal(s.rho, [2.0, 0.5, 1.0])
 
     def test_mass_reproducible(self):
         rng = np.random.default_rng(5)
-        rho = rng.uniform(0.1, 5, 100)
-        dx_old = rng.uniform(1e-4, 1e-2, 100)
-        dx_new = dx_old * rng.uniform(0.5, 2.0, 100)
-        rho_new = update_cell_density(rho, dx_old, dx_new)
-        assert np.allclose(rho_new * dx_new, rho * dx_old, rtol=1e-15)
-
-    def test_nonpositive_width_rejected(self):
-        with pytest.raises(ValueError, match="widths"):
-            update_cell_density(np.ones(3), np.ones(3), np.array([1.0, 0.0, 1.0]))
+        g = StaggeredGrid(np.cumsum(rng.uniform(1e-4, 1e-2, 100)), length=1.0)
+        s = density_state(StaggeredGrid.uniform(100), rng.uniform(0.1, 5, 100))
+        moved = MesoState(grid=g, u=s.u, cell_mass=s.cell_mass, c=s.c)
+        assert np.allclose(moved.rho * g.cell_dx, s.cell_mass, rtol=1e-15, atol=0.0)
 
 
 class TestChooseDt:
@@ -197,18 +214,17 @@ class TestChooseDt:
 class TestLagrangianStep:
     def test_equilibrium_fixed_point(self):
         g = StaggeredGrid.uniform(8)
-        rho = np.full(8, 1.5)
-        out = lagrangian_step(g, np.zeros(8), rho, np.full(8, 0.1), np.full(8, 1.5),
-                              policy())
+        out = lagrangian_step(g, np.zeros(8), 1.5 * g.cell_dx, np.full(8, 0.1),
+                              np.full(8, 1.5), policy())
         assert np.array_equal(out.u, np.zeros(8))
         assert np.array_equal(out.grid.node_x, g.node_x)
-        assert np.array_equal(out.rho, rho)
+        assert np.array_equal(out.grid.cell_dx, g.cell_dx)
         assert out.dissipation_increment == 0.0
 
     def test_rigid_motion_fixed_point(self):
         g = StaggeredGrid.uniform(8)
         u = np.full(8, 0.7)
-        out = lagrangian_step(g, u, np.full(8, 2.0), np.full(8, 0.1), np.full(8, 3.0),
+        out = lagrangian_step(g, u, 2.0 * g.cell_dx, np.full(8, 0.1), np.full(8, 3.0),
                               policy())
         assert np.allclose(out.u, u, rtol=1e-14)
         assert np.allclose(out.grid.cell_dx, g.cell_dx, rtol=1e-12)
@@ -216,10 +232,14 @@ class TestLagrangianStep:
     def test_per_cell_mass_conserved(self):
         rng = np.random.default_rng(6)
         g = StaggeredGrid.uniform(32)
-        rho = rng.uniform(0.2, 3.0, 32)
-        out = lagrangian_step(g, rng.normal(scale=0.2, size=32), rho,
+        mass = rng.uniform(0.2, 3.0, 32) * g.cell_dx
+        kept = mass.copy()
+        out = lagrangian_step(g, rng.normal(scale=0.2, size=32), mass,
                               np.full(32, 0.1), rng.uniform(0.5, 4.0, 32), policy())
-        assert np.allclose(out.rho * out.grid.cell_dx, rho * g.cell_dx, rtol=1e-15)
+        assert not np.array_equal(out.grid.cell_dx, g.cell_dx)
+        assert np.array_equal(mass, kept)
+        s = MesoState(grid=out.grid, u=out.u, cell_mass=mass, c=np.ones(32))
+        assert np.allclose(s.rho * out.grid.cell_dx, kept, rtol=1e-15, atol=0.0)
 
     def test_node_mass_conserved_riemann_config(self):
         # one step from the alternating-phase Riemann setup at J=8
@@ -230,25 +250,27 @@ class TestLagrangianStep:
         mat = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.1)
         p = mixture_pressure(state.c, state.rho, mat)
         mu = mixture_viscosity(state.c, mat)
-        mass_before = node_density(state.rho, state.grid) * state.grid.node_dx
-        out = lagrangian_step(state.grid, state.u, state.rho, mu, p, policy())
-        mass_after = node_density(out.rho, out.grid) * out.grid.node_dx
+        mass_before = node_mass(state.cell_mass)
+        out = lagrangian_step(state.grid, state.u, state.cell_mass, mu, p, policy())
+        rho_after = state.cell_mass / out.grid.cell_dx
+        mass_after = node_mass(rho_after * out.grid.cell_dx)
+        assert not np.array_equal(out.grid.cell_dx, state.grid.cell_dx)
         assert np.allclose(mass_after, mass_before, rtol=1e-14)
 
     def test_total_mass_and_length_conserved(self):
         rng = np.random.default_rng(7)
         g = StaggeredGrid.uniform(64)
-        rho = rng.uniform(0.2, 3.0, 64)
+        mass = rng.uniform(0.2, 3.0, 64) * g.cell_dx
         u = rng.normal(scale=0.3, size=64)
-        out = lagrangian_step(g, u, rho, np.full(64, 0.05), rng.uniform(0.5, 4.0, 64),
+        out = lagrangian_step(g, u, mass, np.full(64, 0.05), rng.uniform(0.5, 4.0, 64),
                               policy())
-        assert np.isclose(np.sum(out.rho * out.grid.cell_dx), np.sum(rho * g.cell_dx),
-                          rtol=1e-13)
+        rho_after = mass / out.grid.cell_dx
+        assert np.isclose(np.sum(rho_after * out.grid.cell_dx), np.sum(mass), rtol=1e-13)
         assert np.isclose(np.sum(out.grid.cell_dx), 1.0, atol=1e-12)
 
     def test_dt_limit_honored(self):
         g = StaggeredGrid.uniform(8)
-        out = lagrangian_step(g, np.zeros(8), np.ones(8), np.full(8, 0.1),
+        out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.full(8, 0.1),
                               np.ones(8), policy(dt_max=1e-2), dt_limit=1e-5)
         assert out.dt_used == 1e-5
 
@@ -258,9 +280,20 @@ class TestLagrangianStep:
         # force halvings
         g = StaggeredGrid.uniform(8)
         p = np.where(np.arange(8) % 2 == 0, 100.0, 0.0)
-        out = lagrangian_step(g, np.zeros(8), np.ones(8), np.zeros(8), p,
+        out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
                               policy(dt_max=1.0, max_halvings=60))
         assert out.halvings > 0
         with pytest.raises(StepFailure):
-            lagrangian_step(g, np.zeros(8), np.ones(8), np.zeros(8), p,
+            lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
                             policy(dt_max=1.0, max_halvings=1))
+
+    def test_negative_cell_between_heavier_neighbours_rejected(self):
+        # both node masses of the negative cell are positive, so the
+        # momentum assembly alone would accept them
+        g = StaggeredGrid.uniform(4)
+        mass = np.array([2.0, -1.0, 2.0, 2.0])
+        assert np.all(0.5 * (mass + np.roll(mass, -1)) > 0)
+        assemble_momentum(g, np.zeros(4), np.ones(4), np.ones(4),
+                          0.5 * (mass + np.roll(mass, -1)), dt=0.1)
+        with pytest.raises(ValueError, match="cell masses must be > 0"):
+            lagrangian_step(g, np.zeros(4), mass, np.ones(4), np.ones(4), policy())
