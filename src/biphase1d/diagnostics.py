@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import mixture_potential
-from .stepping import node_mass
+from .stepping import left_neighbour, node_mass, right_neighbour
 
 GAP_DEGENERATE = 1e-12
 
@@ -108,9 +108,9 @@ def estimate_alpha_meso(state, j=None):
     j=None returns the whole field."""
     c = state.c
     dx = state.grid.cell_dx
-    half_l = 0.5 * np.roll(dx, 1)
-    half_r = 0.5 * np.roll(dx, -1)
-    num = c * dx + np.roll(c, 1) * half_l + np.roll(c, -1) * half_r
+    half_l = 0.5 * left_neighbour(dx)
+    half_r = 0.5 * right_neighbour(dx)
+    num = c * dx + left_neighbour(c) * half_l + right_neighbour(c) * half_r
     est = num / (dx + half_l + half_r)
     return est if j is None else float(est[j])
 

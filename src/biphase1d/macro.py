@@ -83,17 +83,21 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     densities are recovered from the constant phase masses.  The dt is
     predicted at the current velocities; an attempt whose increment
     exceeds the stability bound is turned down and redone at half dt.
+    The phase densities do not change within a step, so each pressure
+    law is evaluated once.
     """
-    p_cells = p_eff(state.alpha, state.rho_plus, state.rho_minus, mat, weighting)
+    p_plus = mat.law_plus.pressure(state.rho_plus)
+    p_minus = mat.law_minus.pressure(state.rho_minus)
+    p_cells = p_eff(state.alpha, p_plus, p_minus, mat, weighting)
     mu_cells = mu_eff(state.alpha, mat)
+    cell_mass = state.cell_mass
 
     def rate(u, grid):
-        return relaxation_rhs(state.alpha, state.rho_plus, state.rho_minus,
-                              grid.strain(u), mat)
+        return relaxation_rhs(state.alpha, p_plus, p_minus, grid.strain(u), mat)
 
     bound = RELAX_ETA * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
     with np.errstate(divide="ignore"):
-        cap = float(np.min(bound / np.abs(rate(state.u, state.grid))))
+        cap = float((bound / np.abs(rate(state.u, state.grid))).min())
     if dt_limit is not None:
         cap = min(cap, dt_limit)
 
@@ -102,20 +106,20 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     def increment_within_bound(u_new, new_grid, dt):
         nonlocal d_alpha
         d_alpha = dt * rate(u_new, new_grid)
-        return bool(np.all(np.abs(d_alpha) <= bound))
+        return bool((np.abs(d_alpha) <= bound).all())
 
-    out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
+    out = lagrangian_step(state.grid, state.u, cell_mass, mu_cells, p_cells,
                           policy, dt_limit=cap, accept=increment_within_bound)
 
     alpha_raw = state.alpha + d_alpha
-    alpha_new = np.clip(alpha_raw, 0.0, 1.0)
+    alpha_new = alpha_raw.clip(0.0, 1.0)
     clamps = int(np.count_nonzero(alpha_new != alpha_raw))
     dx_new = out.grid.cell_dx
     rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus)
     rho_m, guards_m = _phase_density(state.mass_minus, 1.0 - alpha_new, dx_new,
                                      state.rho_minus)
 
-    check_density(state.cell_mass / dx_new, state.t, out.dt_used)
+    check_density(cell_mass / dx_new, state.t, out.dt_used)
 
     return replace(state, grid=out.grid, u=out.u, alpha=alpha_new,
                    rho_plus=rho_p, rho_minus=rho_m,

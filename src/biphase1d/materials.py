@@ -43,13 +43,13 @@ class PowerLaw(PressureLaw):
 
     def pressure(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if not np.all(rho >= 0):
+        if not (rho >= 0).all():
             raise ValueError("density must be >= 0")
         return self.K * rho**self.gamma
 
     def potential(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if not np.all(rho >= 0):
+        if not (rho >= 0).all():
             raise ValueError("density must be >= 0")
         if self.gamma == 1:
             # rho*log(rho) -> 0 as rho -> 0+
@@ -80,7 +80,7 @@ class TabulatedLaw(PressureLaw):
 
     def pressure(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if not np.all(rho >= 0):
+        if not (rho >= 0).all():
             raise ValueError("density must be >= 0")
         return np.interp(rho, self.rho_table, self.p_table)
 
@@ -88,7 +88,7 @@ class TabulatedLaw(PressureLaw):
         """Exact: on each piece p = a + b s, whose integral of p/s^2 is
         a (1/lo - 1/hi) + b ln(hi/lo); outside the table p is constant."""
         rho = np.asarray(rho, dtype=float)
-        if not np.all(rho >= 0):
+        if not (rho >= 0).all():
             raise ValueError("density must be >= 0")
         r_t, p_t = self.rho_table, self.p_table
         b = np.concatenate(([0.0], np.diff(p_t) / np.diff(r_t), [0.0]))
@@ -119,7 +119,7 @@ class MaterialPair:
 
 def _check_fraction(w, name):
     w = np.asarray(w, dtype=float)
-    if not np.all((w >= 0) & (w <= 1)):
+    if not ((w >= 0) & (w <= 1)).all():
         raise ValueError(f"{name} must lie in [0, 1]")
     return w
 
@@ -156,8 +156,17 @@ def mu_eff(alpha, mat):
                     np.where(alpha == 0.0, mat.mu_minus, harm))
 
 
-def p_eff(alpha, rho_plus, rho_minus, mat, weighting=WEIGHTING_CROSS):
-    """Homogenized pressure of the mixture.
+def _check_phase_pressures(p_plus, p_minus):
+    p_plus = np.asarray(p_plus, dtype=float)
+    p_minus = np.asarray(p_minus, dtype=float)
+    if not ((p_plus >= 0).all() and (p_minus >= 0).all()):
+        raise ValueError("phase pressures must be >= 0")
+    return p_plus, p_minus
+
+
+def p_eff(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
+    """Homogenized pressure of the mixture from the phase pressures
+    p_plus = p_+(rho_+) and p_minus = p_-(rho_-).
 
     Both variants average the phase pressures with viscosity weights over
     the common denominator alpha*mu_- + (1-alpha)*mu_+:
@@ -169,13 +178,13 @@ def p_eff(alpha, rho_plus, rho_minus, mat, weighting=WEIGHTING_CROSS):
       breaks the pure-phase limit whenever mu_+ != mu_- and is kept only
       so runs can compare the two closures.
 
-    The variants coincide when mu_+ == mu_-.
+    The variants coincide when mu_+ == mu_-.  A negative or NaN phase
+    pressure is rejected.
     """
     alpha = _check_fraction(alpha, "volume fraction")
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
-    p_p = mat.law_plus.pressure(rho_plus)
-    p_m = mat.law_minus.pressure(rho_minus)
+    p_p, p_m = _check_phase_pressures(p_plus, p_minus)
     denom = alpha * mat.mu_minus + (1.0 - alpha) * mat.mu_plus
     if weighting == WEIGHTING_CROSS:
         num = alpha * p_p * mat.mu_minus + (1.0 - alpha) * p_m * mat.mu_plus
@@ -198,15 +207,18 @@ def relaxation_weights(alpha, mat):
     return a, b
 
 
-def relaxation_rhs(alpha, rho_plus, rho_minus, du_dx, mat):
-    """Rate of change of the volume fraction along particle paths.
+def relaxation_rhs(alpha, p_plus, p_minus, du_dx, mat):
+    """Rate of change of the volume fraction along particle paths, from
+    the phase pressures p_plus = p_+(rho_+) and p_minus = p_-(rho_-).
 
     alpha*(1-alpha)/((1-alpha)*mu_+ + alpha*mu_-)
-        * (p_+(rho_+) - p_-(rho_-) - (mu_+ - mu_-)*du_dx)
+        * (p_plus - p_minus - (mu_+ - mu_-)*du_dx)
 
-    Vanishes identically at alpha in {0, 1}.
+    Vanishes identically at alpha in {0, 1}.  A negative or NaN phase
+    pressure is rejected.
     """
     alpha = _check_fraction(alpha, "volume fraction")
+    p_p, p_m = _check_phase_pressures(p_plus, p_minus)
     denom = (1.0 - alpha) * mat.mu_plus + alpha * mat.mu_minus
-    dp = mat.law_plus.pressure(rho_plus) - mat.law_minus.pressure(rho_minus)
+    dp = p_p - p_m
     return alpha * (1.0 - alpha) / denom * (dp - (mat.mu_plus - mat.mu_minus) * du_dx)

@@ -53,14 +53,14 @@ class MesoState:
 
 def check_density(rho, t, dt):
     """Stop a run whose densities left the runtime envelope."""
-    if not np.all((rho >= RHO_SANE_MIN) & (rho <= RHO_SANE_MAX)):
+    if not ((rho >= RHO_SANE_MIN) & (rho <= RHO_SANE_MAX)).all():
         raise StepFailure("density left the sane range "
                           f"[{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
                           diagnostics={"t": t, "dt": dt})
 
 
 def _check_purity(c):
-    if np.any(c * (1.0 - c) != 0.0):
+    if (c * (1.0 - c) != 0.0).any():
         raise ValueError("color field must be exactly 0 or 1 in every cell")
 
 

@@ -45,8 +45,10 @@ class CyclicTridiagonalSystem:
 
     def matvec(self, x):
         """A @ x with periodic wrap."""
+        from .stepping import left_neighbour, right_neighbour  # stepping imports this module
+
         x = np.asarray(x, dtype=float)
-        return self.diag * x + self.sub * np.roll(x, 1) + self.sup * np.roll(x, -1)
+        return self.diag * x + self.sub * left_neighbour(x) + self.sup * right_neighbour(x)
 
 
 def solve_cyclic_tridiagonal(system):
@@ -85,7 +87,7 @@ def solve_cyclic_tridiagonal(system):
                                   "(corner correction degenerate)", index=n - 1)
     x = y - (vy / vz) * z
     bad = ~np.isfinite(x)
-    if np.any(bad):
+    if bad.any():
         idx = int(np.argmax(bad))
         raise SingularSystemError(
             f"singular cyclic tridiagonal system (non-finite solution at row {idx})",

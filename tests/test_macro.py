@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from biphase1d import macro
 from biphase1d.diagnostics import total_mass
 from biphase1d.macro import RELAX_ETA, MacroState, init_macro_riemann, run_macro, step_macro
-from biphase1d.materials import MaterialPair, PowerLaw
+from biphase1d.materials import MaterialPair, PowerLaw, PressureLaw
 from biphase1d.meso import MesoState, init_meso_riemann, riemann_density, step_meso
 from biphase1d.stepping import StaggeredGrid, StepPolicy
 
@@ -111,6 +112,53 @@ class TestStep:
         assert dt < 0.05
         bound = RELAX_ETA * np.minimum(s.alpha, 1 - s.alpha) + 1e-6
         assert np.all(np.abs(s2.alpha - s.alpha) <= bound)
+
+
+class CountingLaw(PressureLaw):
+    """A pressure law that counts its pressure evaluations."""
+
+    def __init__(self, law):
+        self.law = law
+        self.calls = 0
+
+    def pressure(self, rho):
+        self.calls += 1
+        return self.law.pressure(rho)
+
+    def potential(self, rho):
+        return self.law.potential(rho)
+
+
+class TestPressureEvaluations:
+    """The phase densities are fixed within a step, so each law's pressure
+    is evaluated once per step, however many attempts the step takes."""
+
+    def counted_step(self, monkeypatch, mat, dt_max):
+        counting = MaterialPair(CountingLaw(mat.law_plus), CountingLaw(mat.law_minus),
+                                mat.mu_plus, mat.mu_minus)
+        refusals = []
+        kernel = macro.lagrangian_step
+
+        def watched(*args, accept, **kwargs):
+            def counted_accept(u_new, new_grid, dt):
+                ok = accept(u_new, new_grid, dt)
+                refusals.append(not ok)
+                return ok
+            return kernel(*args, accept=counted_accept, **kwargs)
+
+        monkeypatch.setattr(macro, "lagrangian_step", watched)
+        step_macro(init_macro_riemann(40), counting, "cross", StepPolicy(dt_max=dt_max))
+        return counting.law_plus.calls, counting.law_minus.calls, sum(refusals)
+
+    def test_one_evaluation_per_law(self, monkeypatch):
+        assert self.counted_step(monkeypatch, MAT2, 1e-4) == (1, 1, 0)
+
+    def test_one_evaluation_per_law_when_the_increment_check_halves_dt(self, monkeypatch):
+        # the relaxation-capped config of the benchmark's retry runs
+        stiff = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(10.0, 5.0), 0.1, 1e-3)
+        plus, minus, refusals = self.counted_step(monkeypatch, stiff, 1.0)
+        assert refusals >= 1
+        assert (plus, minus) == (1, 1)
 
 
 class TestPurePhaseConsistency:

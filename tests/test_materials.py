@@ -20,6 +20,11 @@ def mat_unequal():
     return MaterialPair(mu_plus=0.1, mu_minus=0.02, **LAWS_53)
 
 
+def phase_pressures(mat, rho_plus, rho_minus):
+    """p_+(rho_+) and p_-(rho_-): what p_eff and relaxation_rhs take."""
+    return mat.law_plus.pressure(rho_plus), mat.law_minus.pressure(rho_minus)
+
+
 def potential_by_quadrature(law, rho):
     """Oracle: adaptive quadrature of rho * int_1^rho p(s)/s^2 ds."""
     val, _ = quad(lambda s: law.pressure(s) / s**2, 1.0, rho, limit=200)
@@ -146,20 +151,22 @@ class TestEffectiveCoefficients:
 
     def test_p_eff_cross_pure_limits_exact(self):
         mat = mat_unequal()
-        assert p_eff(np.array(1.0), 2.0, 3.0, mat, "cross") == mat.law_plus.pressure(2.0)
-        assert p_eff(np.array(0.0), 2.0, 3.0, mat, "cross") == mat.law_minus.pressure(3.0)
+        assert p_eff(np.array(1.0), *phase_pressures(mat, 2.0, 3.0), mat, "cross") == mat.law_plus.pressure(2.0)
+        assert p_eff(np.array(0.0), *phase_pressures(mat, 2.0, 3.0), mat, "cross") == mat.law_minus.pressure(3.0)
 
     def test_p_eff_variants_collapse_for_equal_viscosities(self):
         mat = mat_equal()
         for w in ("cross", "paper"):
-            assert np.isclose(p_eff(np.array(0.5), 2.0, 2.0, mat, w), 3.0, rtol=1e-14)
+            assert np.isclose(p_eff(np.array(0.5), *phase_pressures(mat, 2.0, 2.0), mat, w), 3.0, rtol=1e-14)
 
     def test_p_eff_cross_value(self):
-        got = p_eff(np.array(0.5), 2.0, 2.0, mat_unequal(), "cross")
+        mat = mat_unequal()
+        got = p_eff(np.array(0.5), *phase_pressures(mat, 2.0, 2.0), mat, "cross")
         assert np.isclose(got, (0.5 * 2.0 * 0.02 + 0.5 * 4.0 * 0.1) / 0.06, rtol=1e-14)
 
     def test_p_eff_own_weighting_value(self):
-        got = p_eff(np.array(0.5), 2.0, 2.0, mat_unequal(), "paper")
+        mat = mat_unequal()
+        got = p_eff(np.array(0.5), *phase_pressures(mat, 2.0, 2.0), mat, "paper")
         assert np.isclose(got, (0.5 * 2.0 * 0.1 + 0.5 * 4.0 * 0.02) / 0.06, rtol=1e-14)
 
     def test_unknown_weighting_rejected(self):
@@ -208,16 +215,19 @@ class TestRelaxation:
 
     def test_rhs_vanishes_at_pure_phases(self):
         mat = mat_unequal()
-        assert relaxation_rhs(np.array(0.0), 5.0, 1.0, 3.0, mat) == 0.0
-        assert relaxation_rhs(np.array(1.0), 5.0, 1.0, -3.0, mat) == 0.0
+        assert relaxation_rhs(np.array(0.0), *phase_pressures(mat, 5.0, 1.0), 3.0, mat) == 0.0
+        assert relaxation_rhs(np.array(1.0), *phase_pressures(mat, 5.0, 1.0), -3.0, mat) == 0.0
 
     def test_rhs_equal_viscosity_value(self):
-        got = relaxation_rhs(np.array(0.5), 2.0, 2.0, 0.0, mat_equal())
+        mat = mat_equal()
+        got = relaxation_rhs(np.array(0.5), *phase_pressures(mat, 2.0, 2.0), 0.0, mat)
         assert np.isclose(got, -5.0, rtol=1e-14)
 
     def test_rhs_strain_only_value(self):
         # p_+(2) = 2 and p_-(sqrt(2)) = 2 cancel, leaving the strain term
-        got = relaxation_rhs(np.array(0.5), 2.0, np.sqrt(2.0), 1.0, mat_unequal())
+        mat = mat_unequal()
+        got = relaxation_rhs(np.array(0.5), *phase_pressures(mat, 2.0, np.sqrt(2.0)), 1.0,
+                             mat)
         assert np.isclose(got, 0.25 / 0.06 * (-0.08), rtol=1e-13)
 
     def test_rhs_consistent_with_weight_form(self):
@@ -230,7 +240,8 @@ class TestRelaxation:
             a, b = relaxation_weights(np.array(alpha), mat)
             dp = mat.law_plus.pressure(rho_p) - mat.law_minus.pressure(rho_m)
             expected = alpha * (1 - alpha) * (a * dp + b * du)
-            got = relaxation_rhs(np.array(alpha), rho_p, rho_m, du, mat)
+            got = relaxation_rhs(np.array(alpha), *phase_pressures(mat, rho_p, rho_m), du,
+                                 mat)
             assert np.isclose(got, expected, rtol=1e-14, atol=1e-14)
 
 

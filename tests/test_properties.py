@@ -2,26 +2,29 @@
 tabulated potential against quadrature, mass and length conservation of
 the kernel step, the one dt-halving budget of a step, the window
 integrals of coarse-graining against a cell-by-cell walk, colour purity
-of meso runs, bit-exact cell masses of meso and macro runs, and the
-momentum solve against a dense oracle."""
+of meso runs, bit-exact cell masses of meso and macro runs, the
+momentum solve against a dense oracle, and the step's building blocks
+bit for bit against the formulas they replace."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from conftest import dense_solve, window_walk
 
-from biphase1d.diagnostics import _window_sums
+from biphase1d.diagnostics import _window_sums, estimate_alpha_meso
 from biphase1d.errors import StepFailure
 from biphase1d.macro import MacroState, init_macro_riemann, run_macro
-from biphase1d.materials import TabulatedLaw
+from biphase1d.materials import MaterialPair, PowerLaw, TabulatedLaw, p_eff, relaxation_rhs
 from biphase1d.cli import parse_config
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso
-from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum, choose_dt,
-                                lagrangian_step)
-from biphase1d.tridiag import solve_cyclic_tridiagonal
+from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum,
+                                back_difference, choose_dt, lagrangian_step, left_neighbour,
+                                node_mass, right_neighbour)
+from biphase1d.tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
 
 
 def potential_by_quadrature(law, rho):
@@ -146,15 +149,21 @@ def test_inversions_and_rejections_share_the_budget():
 
 
 @st.composite
-def torus_states(draw):
-    """A meso or macro state on a random torus whose unwrapped nodes are
-    shifted by up to 3 lengths either way, so the seam cuts a cell and
-    coordinates go negative."""
+def tori(draw):
+    """A random torus whose unwrapped nodes are shifted by up to 3 lengths
+    either way, so the seam cuts a cell and coordinates go negative."""
     J = draw(st.integers(3, 30))
     length = draw(st.floats(0.1, 10.0))
     widths = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=J, max_size=J)))
     shift = draw(st.floats(-3.0, 3.0)) * length
-    grid = StaggeredGrid(shift + np.cumsum(widths * (length / widths.sum())), length)
+    return StaggeredGrid(shift + np.cumsum(widths * (length / widths.sum())), length)
+
+
+@st.composite
+def torus_states(draw):
+    """A meso or macro state on a random torus (see ``tori``)."""
+    grid = draw(tori())
+    J = grid.J
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rng.uniform(-2.0, 2.0, J)
     if draw(st.booleans()):
@@ -246,3 +255,124 @@ def test_momentum_solve_matches_the_dense_oracle(seed, J, dt, length):
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
     scale = np.max(np.abs(system.diag)) * np.max(np.abs(x)) + np.max(np.abs(system.rhs))
     assert np.max(np.abs(system.matvec(x) - system.rhs)) <= 1e-13 * scale
+
+
+# The step's building blocks against the formulas they replace.  Every
+# periodic neighbour shift is a slice copy and np.roll is the independent
+# oracle; each rewritten function keeps its floating-point operations and
+# their order, so the results agree byte for byte (even the sign of a
+# zero counts; signed zeros and repeated values are drawn often).  The
+# effective pressure and the relaxation rate take the phase pressures and,
+# fed p_+(rho_+) and p_-(rho_-), equal the density-form formulas.
+
+ZEROS = st.sampled_from((-0.0, 0.0))
+ANY = ZEROS | st.sampled_from((1.0, -1.0)) | st.floats()
+FINITE = ZEROS | st.sampled_from((1.0, -1.0)) | st.floats(-1e6, 1e6)
+POSITIVE = st.floats(1e-6, 1e6)
+NONNEGATIVE = ZEROS | st.floats(0.0, 1e3)
+FRACTION = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def field(draw, J, elements=FINITE):
+    return draw(arrays(np.float64, J, elements=elements))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=arrays(np.float64, st.integers(1, 40), elements=ANY))
+def test_shift_helpers_equal_roll(a):
+    assert same_bits(right_neighbour(a), np.roll(a, -1))
+    assert same_bits(left_neighbour(a), np.roll(a, 1))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
+        assert same_bits(back_difference(a), a - np.roll(a, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=tori(), data=st.data())
+def test_widths_and_strain_equal_their_roll_formulas(grid, data):
+    x = grid.node_x
+    widths = x - np.roll(x, 1)
+    widths[0] = x[0] - x[-1] + grid.length
+    assert same_bits(grid.cell_dx, widths)
+    u = field(data.draw, grid.J)
+    assert same_bits(grid.strain(u), (u - np.roll(u, 1)) / grid.cell_dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=arrays(np.float64, st.integers(3, 40), elements=POSITIVE))
+def test_node_mass_equals_its_roll_formula(m):
+    assert same_bits(node_mass(m), 0.5 * (m + np.roll(m, -1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=tori(), dt=st.floats(1e-8, 1.0), data=st.data())
+def test_momentum_system_equals_its_roll_formulas(grid, dt, data):
+    J = grid.J
+    u, p = field(data.draw, J), field(data.draw, J)
+    mu = field(data.draw, J, NONNEGATIVE)
+    m_node = field(data.draw, J, POSITIVE)
+    system = assemble_momentum(grid, u, mu, p, m_node, dt)
+    w = dt * mu / grid.cell_dx
+    assert same_bits(system.diag, m_node + w + np.roll(w, -1))
+    assert same_bits(system.sub, -w)
+    assert same_bits(system.sup, -np.roll(w, -1))
+    assert same_bits(system.rhs, m_node * u - dt * (np.roll(p, -1) - p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=tori(), dt_max=st.floats(1e-8, 1.0), theta=st.floats(0.01, 0.99),
+       data=st.data())
+def test_choose_dt_equals_its_roll_formula(grid, dt_max, theta, data):
+    u = field(data.draw, grid.J)
+    want = min(dt_max, theta * np.min(grid.cell_dx)
+               / (np.max(np.abs(u - np.roll(u, 1))) + 1e-12))
+    assert same_bits(choose_dt(grid, u, StepPolicy(cfl_theta=theta, dt_max=dt_max)), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(3, 40), data=st.data())
+def test_matvec_equals_its_roll_formula(J, data):
+    sub, diag, sup, x = (field(data.draw, J) for _ in range(4))
+    system = CyclicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.zeros(J))
+    assert same_bits(system.matvec(x), diag * x + sub * np.roll(x, 1) + sup * np.roll(x, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=tori(), data=st.data())
+def test_alpha_estimate_equals_its_roll_formula(grid, data):
+    J = grid.J
+    c = field(data.draw, J, st.sampled_from((0.0, 1.0)))
+    state = MesoState(grid=grid, u=np.zeros(J), cell_mass=grid.cell_dx, c=c)
+    dx = grid.cell_dx
+    half_l, half_r = 0.5 * np.roll(dx, 1), 0.5 * np.roll(dx, -1)
+    want = (c * dx + np.roll(c, 1) * half_l + np.roll(c, -1) * half_r) / (dx + half_l + half_r)
+    assert same_bits(estimate_alpha_meso(state), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(1, 20), gammas=st.tuples(st.floats(1.0, 5.0), st.floats(1.0, 5.0)),
+       mus=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       weighting=st.sampled_from(("cross", "paper")), data=st.data())
+def test_pressure_form_equals_the_density_form(J, gammas, mus, weighting, data):
+    mat = MaterialPair(PowerLaw(1.0, gammas[0]), PowerLaw(2.0, gammas[1]), *mus)
+    alpha = field(data.draw, J, FRACTION)
+    rho_p, rho_m = field(data.draw, J, POSITIVE), field(data.draw, J, POSITIVE)
+    du = field(data.draw, J)
+    p_p, p_m = mat.law_plus.pressure(rho_p), mat.law_minus.pressure(rho_m)
+
+    denom = alpha * mat.mu_minus + (1.0 - alpha) * mat.mu_plus
+    if weighting == "cross":
+        num = alpha * p_p * mat.mu_minus + (1.0 - alpha) * p_m * mat.mu_plus
+        want = np.where(alpha == 1.0, p_p, np.where(alpha == 0.0, p_m, num / denom))
+    else:
+        want = (alpha * p_p * mat.mu_plus + (1.0 - alpha) * p_m * mat.mu_minus) / denom
+    assert same_bits(p_eff(alpha, p_p, p_m, mat, weighting), want)
+
+    denom = (1.0 - alpha) * mat.mu_plus + alpha * mat.mu_minus
+    want = alpha * (1.0 - alpha) / denom * (p_p - p_m - (mat.mu_plus - mat.mu_minus) * du)
+    assert same_bits(relaxation_rhs(alpha, p_p, p_m, du, mat), want)

@@ -189,6 +189,20 @@ class TestDensityUpdate:
         assert np.allclose(moved.rho * g.cell_dx, s.cell_mass, rtol=1e-15, atol=0.0)
 
 
+class TestStepPolicy:
+    @pytest.mark.parametrize("bad", [2.5, 3.0, float("inf"), float("nan"), True, False],
+                             ids=["fraction", "integral_float", "inf", "nan", "true", "false"])
+    def test_non_integer_max_halvings_rejected(self, bad):
+        # each of these used to pass here and fail the first step inside range()
+        with pytest.raises(ValueError, match="max_halvings must be an integer"):
+            StepPolicy(max_halvings=bad)
+
+    def test_integer_max_halvings_accepted(self):
+        assert StepPolicy(max_halvings=np.int64(3)).max_halvings == 3
+        with pytest.raises(ValueError, match="max_halvings must be >= 1"):
+            StepPolicy(max_halvings=0)
+
+
 class TestChooseDt:
     def test_at_rest_returns_cap(self):
         g = StaggeredGrid.uniform(10)
@@ -283,9 +297,25 @@ class TestLagrangianStep:
         out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
                               policy(dt_max=1.0, max_halvings=60))
         assert out.halvings > 0
-        with pytest.raises(StepFailure):
+        with pytest.raises(StepFailure, match="cell inversion persisted after 1 ") as info:
             lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
                             policy(dt_max=1.0, max_halvings=1))
+        # dt = 1 and 1/2 both invert; the failure reports the last of them
+        assert info.value.diagnostics["dt"] == 0.5
+
+    def test_failure_reports_the_last_attempted_dt(self):
+        g = StaggeredGrid.uniform(8)
+        tried = []
+
+        def refuse(u_new, new_grid, dt):
+            tried.append(dt)
+            return False
+
+        with pytest.raises(StepFailure, match="step rejection persisted after 3 ") as info:
+            lagrangian_step(g, np.zeros(8), g.cell_dx, np.full(8, 0.1), np.ones(8),
+                            policy(dt_max=1e-2, max_halvings=3), accept=refuse)
+        assert tried == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+        assert info.value.diagnostics["dt"] == 1.25e-3
 
     def test_negative_cell_between_heavier_neighbours_rejected(self):
         # both node masses of the negative cell are positive, so the
