@@ -274,9 +274,17 @@ def _execute(config):
     """Run the configured scheme(s) and write everything to
     config.output_dir; returns the comparison norms when both schemes ran.
     A SolverError propagates after leaving a FAILED marker and the records
-    taken so far next to the outputs already written."""
+    taken so far next to the outputs already written; a failure marker
+    left there by an earlier run is deleted first.  An output directory
+    that cannot be created is a ConfigError."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'output_dir': cannot create {str(out)!r}: "
+                          f"{exc.strerror}") from None
+    for stale in ("FAILED", "partial_diagnostics.dat"):
+        (out / stale).unlink(missing_ok=True)
     with open(out / "config.json", "w", newline="\n") as fh:
         json.dump(config.raw, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -313,7 +321,8 @@ def _execute(config):
 
 def run_experiment(config):
     """Execute a config; returns the process exit status (0 ok, 1 solver
-    failure).  Partial outputs are kept next to a FAILED marker."""
+    failure).  Partial outputs are kept next to a FAILED marker.  An
+    output directory that cannot be created raises ConfigError."""
     try:
         _execute(config)
     except SolverError:

@@ -106,7 +106,7 @@ def estimate_alpha_meso(state, j=None):
     cell j counts fully, each neighbour with half its width, so a pure
     + field estimates to 1 and the alternating uniform datum to 1/2.
     j=None returns the whole field."""
-    c = state.c
+    c = state.weight
     dx = state.grid.cell_dx
     half_l = 0.5 * left_neighbour(dx)
     half_r = 0.5 * right_neighbour(dx)
@@ -248,12 +248,13 @@ def compare_fields(a, b):
 
 
 def young_moment(state, b):
-    """Integral of b(x, rho, color) against the empirical cell measure.
+    """Integral of b(x, rho, weight) against the empirical cell measure.
 
     ``b`` must broadcast over numpy arrays; cells enter with their
-    midpoint (mapped to the torus), density, and color, weighted by
-    their width.
+    midpoint (mapped to the torus), density, and phase-+ share (the
+    color of a meso cell, the volume fraction of a macro cell), weighted
+    by their width.
     """
     grid = state.grid
     x = grid.midpoints % grid.length
-    return float(np.sum(np.asarray(b(x, state.rho, state.c)) * grid.cell_dx))
+    return float(np.sum(np.asarray(b(x, state.rho, state.weight)) * grid.cell_dx))

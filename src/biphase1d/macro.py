@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .materials import mu_eff, p_eff, relaxation_rhs
-from .meso import check_density, riemann_density, run_scheme
+from .meso import riemann_density, run_scheme
 from .stepping import StaggeredGrid, lagrangian_step
 
 # below this distance from 0 or 1, a phase volume is too small to divide by
@@ -90,7 +90,6 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     p_minus = mat.law_minus.pressure(state.rho_minus)
     p_cells = p_eff(state.alpha, p_plus, p_minus, mat, weighting)
     mu_cells = mu_eff(state.alpha, mat)
-    cell_mass = state.cell_mass
 
     def rate(u, grid):
         return relaxation_rhs(state.alpha, p_plus, p_minus, grid.strain(u), mat)
@@ -108,7 +107,7 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
         d_alpha = dt * rate(u_new, new_grid)
         return bool((np.abs(d_alpha) <= bound).all())
 
-    out = lagrangian_step(state.grid, state.u, cell_mass, mu_cells, p_cells,
+    out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
                           policy, dt_limit=cap, accept=increment_within_bound)
 
     alpha_raw = state.alpha + d_alpha
@@ -118,8 +117,6 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus)
     rho_m, guards_m = _phase_density(state.mass_minus, 1.0 - alpha_new, dx_new,
                                      state.rho_minus)
-
-    check_density(cell_mass / dx_new, state.t, out.dt_used)
 
     return replace(state, grid=out.grid, u=out.u, alpha=alpha_new,
                    rho_plus=rho_p, rho_minus=rho_m,

@@ -1,8 +1,7 @@
 """Sharp-interface two-fluid scheme: every cell holds a pure phase
 (color 0 or 1) that is transported exactly by the moving mesh.
 
-The run loop and the density check that the homogenized scheme shares
-live here too.
+The run loop that the homogenized scheme shares lives here too.
 """
 
 from dataclasses import dataclass, replace
@@ -13,10 +12,6 @@ from . import diagnostics
 from .errors import StepFailure
 from .materials import mixture_pressure, mixture_viscosity
 from .stepping import StaggeredGrid, lagrangian_step
-
-# generous runtime envelope for densities; violations indicate a blown-up run
-RHO_SANE_MIN = 1e-4
-RHO_SANE_MAX = 1e4
 
 
 @dataclass
@@ -49,14 +44,6 @@ class MesoState:
     def alpha(self):
         """The windowed volume-fraction estimate of every cell."""
         return diagnostics.estimate_alpha_meso(self)
-
-
-def check_density(rho, t, dt):
-    """Stop a run whose densities left the runtime envelope."""
-    if not ((rho >= RHO_SANE_MIN) & (rho <= RHO_SANE_MAX)).all():
-        raise StepFailure("density left the sane range "
-                          f"[{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
-                          diagnostics={"t": t, "dt": dt})
 
 
 def _check_purity(c):
@@ -94,7 +81,6 @@ def step_meso(state, mat, policy, dt_limit=None):
     mu_cells = mixture_viscosity(state.c, mat)
     out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
                           policy, dt_limit=dt_limit)
-    check_density(state.cell_mass / out.grid.cell_dx, state.t, out.dt_used)
     return replace(state, grid=out.grid, u=out.u,
                    t=state.t + out.dt_used,
                    dissipated=state.dissipated + out.dissipation_increment)
@@ -106,7 +92,8 @@ def run_scheme(state, advance, config):
     Returns (final state, diagnostics records).  Records are emitted at
     the start, every config.cadence accepted steps, and at t_end; the last
     step is clamped so the run lands on t_end exactly.  A StepFailure
-    leaves with the records taken so far in its diagnostics.
+    leaves with the records taken so far and the time before the failed
+    step in its diagnostics.
     """
     records = [diagnostics.snapshot(state, config.mat, dt_used=0.0)]
     steps = 0
@@ -121,7 +108,7 @@ def run_scheme(state, advance, config):
                 records.append(diagnostics.snapshot(state, config.mat,
                                                     dt_used=state.t - t_before))
     except StepFailure as failure:
-        failure.diagnostics["records"] = records
+        failure.diagnostics.update(t=state.t, records=records)
         raise
     return state, records
 

@@ -19,6 +19,10 @@ from .tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
 
 _CFL_EPS = 1e-12
 
+# generous runtime envelope for densities; violations indicate a blown-up run
+RHO_SANE_MIN = 1e-4
+RHO_SANE_MAX = 1e4
+
 
 # Periodic neighbour shifts by slices: bit for bit the arrays that numpy's
 # roll gives for shifts -1 and 1 (and a minus the latter), without roll's
@@ -157,20 +161,6 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
     return CyclicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
 
-def advance_positions(grid, u_new, dt):
-    """Move every interface by dt * its velocity.
-
-    Returns the new grid, or None if any cell inverted (caller retries
-    with a smaller dt).  The total length telescopes and is carried over
-    unchanged.
-    """
-    try:
-        return StaggeredGrid(grid.node_x + dt * np.asarray(u_new, dtype=float),
-                             grid.length)
-    except ValueError:
-        return None
-
-
 def choose_dt(grid, u_old, policy):
     """CFL-style predictor: limit mesh deformation per step.
 
@@ -191,8 +181,10 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit=
     e.g. to land on an output time).  An attempt whose velocities would
     invert a cell, or that ``accept(u_new, new_grid, dt)`` turns down,
     halves dt and repeats the solve; both causes share the
-    policy.max_halvings budget.  The returned dissipation increment is
-    dt * sum(mu (du/dx)^2 dx) evaluated with the new velocities on the
+    policy.max_halvings budget.  A density of the accepted step outside
+    [RHO_SANE_MIN, RHO_SANE_MAX] means the run has blown up: it fails
+    the step at once, with no retry.  The returned dissipation increment
+    is dt * sum(mu (du/dx)^2 dx) evaluated with the new velocities on the
     pre-step mesh, matching the implicit discretization.
     """
     m_node = node_mass(cell_mass)
@@ -206,7 +198,11 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit=
         # at large J keep the heap from being trimmed and refaulted every step
         u_new = solve_cyclic_tridiagonal(
             assemble_momentum(grid, u_old, mu_cells, p_cells, m_node, dt))
-        new_grid = advance_positions(grid, u_new, dt)
+        # mesh motion: the total length telescopes, so it carries over
+        try:
+            new_grid = StaggeredGrid(grid.node_x + dt * u_new, grid.length)
+        except ValueError:  # a cell width <= 0: the mesh inverted
+            new_grid = None
         if new_grid is not None and (accept is None or accept(u_new, new_grid, dt)):
             break
         if halvings == policy.max_halvings:
@@ -217,6 +213,11 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit=
                              "max_u": float(np.abs(u_new).max())},
             )
         dt *= 0.5
+
+    rho = cell_mass / new_grid.cell_dx
+    if not ((rho >= RHO_SANE_MIN) & (rho <= RHO_SANE_MAX)).all():
+        raise StepFailure(f"density left the sane range [{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
+                          diagnostics={"dt": dt})
 
     dissipation = dt * float((np.asarray(mu_cells) * grid.strain(u_new)**2
                               * grid.cell_dx).sum())

@@ -290,3 +290,14 @@ def test_cells_above_the_ceiling_are_config_errors(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     assert "key 'cells': must be <= 100000000" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", [None, "sub"], ids=["is_a_file", "under_a_file"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_uncreatable_output_dir_is_a_config_error(command, below, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    out = blocker / below if below else blocker
+    assert main([command, "test1", "--cells", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: key 'output_dir': ")
+    assert blocker.read_text() == "keep"

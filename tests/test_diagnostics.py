@@ -213,6 +213,18 @@ class TestYoungMoments:
         got = young_moment(s, lambda x, xi, eta: xi)
         assert np.isclose(got, total_mass(s), rtol=1e-14)
 
+    def test_macro_state_enters_with_its_volume_fraction(self):
+        from biphase1d.macro import init_macro_riemann, step_macro
+        mat = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.02)
+        s = init_macro_riemann(40)
+        for _ in range(5):
+            s = step_macro(s, mat, "cross", StepPolicy(dt_max=1e-3))
+        assert np.ptp(s.alpha) > 0
+        b = lambda x, rho, alpha: x * rho * alpha + alpha**2
+        x = s.grid.midpoints % s.grid.length
+        want = float(np.sum(b(x, s.rho, s.alpha) * s.grid.cell_dx))
+        assert young_moment(s, b) == want
+
     def test_support_stays_in_box(self):
         from biphase1d.meso import run_meso
         cfg = SimpleNamespace(cells=64, t_end=0.02, mat=MAT1,

@@ -2,9 +2,10 @@
 tabulated potential against quadrature, mass and length conservation of
 the kernel step, the one dt-halving budget of a step, the window
 integrals of coarse-graining against a cell-by-cell walk, colour purity
-of meso runs, bit-exact cell masses of meso and macro runs, the
-momentum solve against a dense oracle, and the step's building blocks
-bit for bit against the formulas they replace."""
+of meso runs, bit-exact cell masses of meso and macro runs, the macro
+step on pure cells against the meso step, the momentum solve against a
+dense oracle, and the step's building blocks bit for bit against the
+formulas they replace."""
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from conftest import dense_solve, window_walk
 
 from biphase1d.diagnostics import _window_sums, estimate_alpha_meso
 from biphase1d.errors import StepFailure
-from biphase1d.macro import MacroState, init_macro_riemann, run_macro
+from biphase1d.macro import MacroState, init_macro_riemann, run_macro, step_macro
 from biphase1d.materials import MaterialPair, PowerLaw, TabulatedLaw, p_eff, relaxation_rhs
 from biphase1d.cli import parse_config
-from biphase1d.meso import MesoState, init_meso_riemann, run_meso
+from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
 from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum,
                                 back_difference, choose_dt, lagrangian_step, left_neighbour,
                                 node_mass, right_neighbour)
@@ -239,6 +240,34 @@ def test_runs_keep_every_cell_mass(scheme, half_J, t_end, weighting, gamma_plus,
         assert np.array_equal(state.mass_plus, init.mass_plus)
         assert np.array_equal(state.mass_minus, init.mass_minus)
     assert state.t == t_end
+
+
+@settings(max_examples=25, deadline=None)
+@given(half_J=st.integers(2, 20), steps=st.integers(1, 30),
+       gamma_plus=st.floats(1.0, 5.0), gamma_minus=st.floats(1.0, 5.0),
+       K_plus=st.floats(0.1, 10.0), K_minus=st.floats(0.1, 10.0),
+       mu_plus=st.floats(1e-3, 1.0), mu_minus=st.floats(1e-3, 1.0))
+def test_macro_on_pure_cells_is_the_meso_step(half_J, steps, gamma_plus, gamma_minus,
+                                              K_plus, K_minus, mu_plus, mu_minus):
+    # with cross weighting the effective coefficients are the pure-phase
+    # ones at alpha in {0, 1} and the relaxation rate vanishes there
+    mat = MaterialPair(PowerLaw(K_plus, gamma_plus), PowerLaw(K_minus, gamma_minus),
+                       mu_plus, mu_minus)
+    policy = StepPolicy()
+    meso = init_meso_riemann(2 * half_J)
+    c, m = meso.c, meso.cell_mass
+    rho = m / meso.grid.cell_dx
+    macro = MacroState(grid=meso.grid, u=meso.u, alpha=c, mass_plus=c * m,
+                       mass_minus=(1.0 - c) * m, rho_plus=rho, rho_minus=rho.copy())
+    for _ in range(steps):
+        meso = step_meso(meso, mat, policy)
+        macro = step_macro(macro, mat, "cross", policy)
+        assert same_bits(macro.grid.node_x, meso.grid.node_x)
+        assert same_bits(macro.u, meso.u)
+        assert same_bits(macro.rho, meso.rho)
+        assert macro.t == meso.t
+    assert same_bits(macro.alpha, c)
+    assert macro.clamp_events == 0 and macro.guard_events == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,8 +5,8 @@ import pytest
 
 from biphase1d.errors import StepFailure
 from biphase1d.meso import MesoState
-from biphase1d.stepping import (StaggeredGrid, StepPolicy, advance_positions,
-                                assemble_momentum, choose_dt, lagrangian_step, node_mass)
+from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum, choose_dt,
+                                lagrangian_step, node_mass)
 from biphase1d.tridiag import solve_cyclic_tridiagonal
 
 
@@ -137,25 +137,26 @@ class TestMomentum:
 class TestMeshMotion:
     def test_zero_velocity(self):
         g = StaggeredGrid.uniform(6)
-        g2 = advance_positions(g, np.zeros(6), 0.1)
+        g2 = StaggeredGrid(g.node_x + 0.1 * np.zeros(6), g.length)
         assert np.array_equal(g2.node_x, g.node_x)
 
     def test_rigid_translation(self):
         g = StaggeredGrid(np.sort(np.random.default_rng(3).uniform(0, 1, 9)), length=1.0)
-        g2 = advance_positions(g, np.full(9, 2.0), 0.05)
+        g2 = StaggeredGrid(g.node_x + 0.05 * np.full(9, 2.0), g.length)
         assert np.allclose(g2.node_x, g.node_x + 0.1)
         assert np.allclose(g2.cell_dx, g.cell_dx, atol=1e-15)
 
     def test_total_width_preserved(self):
         rng = np.random.default_rng(4)
         g = StaggeredGrid(np.sort(rng.uniform(0, 1, 33)), length=1.0)
-        g2 = advance_positions(g, rng.normal(scale=0.1, size=33), 1e-3)
+        g2 = StaggeredGrid(g.node_x + 1e-3 * rng.normal(scale=0.1, size=33), g.length)
         assert abs(np.sum(g2.cell_dx) - np.sum(g.cell_dx)) < 1e-14
 
-    def test_inversion_returns_none(self):
+    def test_inversion_rejected(self):
         g = StaggeredGrid.uniform(4)
         u = np.array([10.0, -10.0, 0.0, 0.0])
-        assert advance_positions(g, u, 0.1) is None
+        with pytest.raises(ValueError, match="cell widths"):
+            StaggeredGrid(g.node_x + 0.1 * u, g.length)
 
 
 class TestDensityUpdate:
@@ -164,7 +165,7 @@ class TestDensityUpdate:
     def test_unchanged_widths(self):
         g = StaggeredGrid(np.array([0.1, 0.3, 1.0]), length=1.0)
         s = density_state(g, np.array([1.0, 2.0, 3.0]))
-        moved = MesoState(grid=advance_positions(g, np.zeros(3), 0.1), u=s.u,
+        moved = MesoState(grid=StaggeredGrid(g.node_x + 0.1 * np.zeros(3), g.length), u=s.u,
                           cell_mass=s.cell_mass, c=s.c)
         assert np.array_equal(moved.rho, s.rho)
 
@@ -316,6 +317,25 @@ class TestLagrangianStep:
                             policy(dt_max=1e-2, max_halvings=3), accept=refuse)
         assert tried == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
         assert info.value.diagnostics["dt"] == 1.25e-3
+
+    def test_density_envelope_fails_the_step_without_a_retry(self):
+        # nodes 2 and 3 close in on the dense cell 3 at unit speed and no
+        # pressure holds them back: the dt candidate squeezes its density
+        # from 7000 to about 11700, while half that dt would give 8750
+        g = StaggeredGrid.uniform(8)
+        mass = g.cell_dx.copy()
+        mass[3] *= 7000.0
+        u = np.zeros(8)
+        u[2], u[3] = 1.0, -1.0
+        args = (g, u, mass, np.full(8, 1e-3), np.zeros(8), policy(dt_max=1.0))
+        dt = choose_dt(g, u, args[-1])
+        with pytest.raises(StepFailure,
+                           match=r"^density left the sane range \[0.0001, 10000.0\]$") as info:
+            lagrangian_step(*args)
+        assert info.value.diagnostics["dt"] == dt
+        half = lagrangian_step(*args, dt_limit=0.5 * dt)
+        assert half.halvings == 0
+        assert np.max(mass / half.grid.cell_dx) < 1e4
 
     def test_negative_cell_between_heavier_neighbours_rejected(self):
         # both node masses of the negative cell are positive, so the
