@@ -269,21 +269,28 @@ _FIELD_FILES = {
               ("phase_densities", ("rho_plus", "rho_minus"))),
 }
 
+# every file name _execute writes besides config.json, whichever schemes run
+_OUTPUT_FILES = (("FAILED", "partial_diagnostics.dat", "comparison_windows.dat",
+                  "comparison_report.txt")
+                 + tuple(f"{scheme}_{suffix}.dat" for scheme, files in _FIELD_FILES.items()
+                         for suffix in (*(name for name, _ in files), "diagnostics", "coarse")))
+
 
 def _execute(config):
     """Run the configured scheme(s) and write everything to
     config.output_dir; returns the comparison norms when both schemes ran.
     A SolverError propagates after leaving a FAILED marker and the records
-    taken so far next to the outputs already written; a failure marker
-    left there by an earlier run is deleted first.  An output directory
-    that cannot be created is a ConfigError."""
+    taken so far next to the outputs already written; every output an
+    earlier run can have left there is deleted first, so no stale result
+    sits beside a new failure.  An output directory that cannot be created
+    is a ConfigError."""
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"key 'output_dir': cannot create {str(out)!r}: "
                           f"{exc.strerror}") from None
-    for stale in ("FAILED", "partial_diagnostics.dat"):
+    for stale in _OUTPUT_FILES:
         (out / stale).unlink(missing_ok=True)
     with open(out / "config.json", "w", newline="\n") as fh:
         json.dump(config.raw, fh, indent=2, sort_keys=True)
@@ -336,7 +343,9 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
 
     All resolutions are compared on one window layout: the explicitly
     configured coarse_K if any, else the default derived at the smallest
-    resolution.  Every resolution's config is validated before any runs.
+    resolution.  Every resolution's config is validated before any runs,
+    and a ``sweep.dat`` left by an earlier sweep is deleted before the
+    first one, as a failing resolution ends the sweep without writing it.
     """
     out = Path(out_dir)
     overrides = overrides or {}
@@ -345,6 +354,8 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
                                                "coarse_K": probe.coarse_K,
                                                "output_dir": str(out / f"J{cells}")})
                for cells in cells_list]
+    if out.is_dir():
+        (out / "sweep.dat").unlink(missing_ok=True)
     rows = []
     for config in configs:
         norms = _execute(config)["norms"]

@@ -9,7 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .materials import mu_eff, p_eff, relaxation_rhs
+from .materials import homogenized
+# unused here: perfbench/probes.py binds these names until ROADMAP item 8 rebinds it
+from .materials import mu_eff, p_eff, relaxation_rhs  # noqa: F401
 from .meso import riemann_density, run_scheme
 from .stepping import StaggeredGrid, lagrangian_step
 
@@ -84,15 +86,20 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     predicted at the current velocities; an attempt whose increment
     exceeds the stability bound is turned down and redone at half dt.
     The phase densities do not change within a step, so each pressure
-    law is evaluated once.
+    law is evaluated once, and ``homogenized`` checks alpha and the phase
+    pressures and forms the effective coefficients, the relaxation factor
+    k = alpha*(1-alpha)/D and dp = p_+ - p_- once: the formulas of the
+    public ``p_eff``, ``mu_eff`` and ``relaxation_rhs``, bit for bit.
+    An attempt then costs the relaxation rate k*(dp - (mu_+ - mu_-)*u_x).
     """
     p_plus = mat.law_plus.pressure(state.rho_plus)
     p_minus = mat.law_minus.pressure(state.rho_minus)
-    p_cells = p_eff(state.alpha, p_plus, p_minus, mat, weighting)
-    mu_cells = mu_eff(state.alpha, mat)
+    p_cells, mu_cells, k, dp = homogenized(state.alpha, p_plus, p_minus, mat, weighting)
+    del p_plus, p_minus  # the attempts need only k and dp
+    dmu = mat.mu_plus - mat.mu_minus
 
     def rate(u, grid):
-        return relaxation_rhs(state.alpha, p_plus, p_minus, grid.strain(u), mat)
+        return k * (dp - dmu * grid.strain(u))
 
     bound = RELAX_ETA * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
     with np.errstate(divide="ignore"):

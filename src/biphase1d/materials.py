@@ -2,7 +2,11 @@
 homogenized (effective) coefficients with their pressure-relaxation source.
 
 Everything here is a closed-form scalar function of the local state; all
-functions broadcast over numpy arrays.
+functions broadcast over numpy arrays.  Each homogenized formula is
+written once, on the shared denominator D = alpha*mu_- + (1-alpha)*mu_+:
+``homogenized`` evaluates them all from one check and one D, as the macro
+step does, and the public ``p_eff``, ``mu_eff``, ``relaxation_rhs`` and
+``relaxation_weights`` are the same formulas, bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -142,18 +146,38 @@ def mixture_potential(c, rho, mat):
     return c * mat.law_plus.potential(rho) + (1.0 - c) * mat.law_minus.potential(rho)
 
 
-def mu_eff(alpha, mat):
-    """Homogenized viscosity mu_+ mu_- / (alpha mu_- + (1-alpha) mu_+).
+def _viscosity_weight(alpha, one_minus, mat):
+    """D = alpha*mu_- + (1-alpha)*mu_+, the denominator every homogenized
+    coefficient shares; > 0 for alpha in [0, 1]."""
+    return alpha * mat.mu_minus + one_minus * mat.mu_plus
 
-    Endpoints return the pure-phase viscosities exactly.
-    """
-    alpha = _check_fraction(alpha, "volume fraction")
+
+def _pure(alpha):
+    """The masks alpha == 1 and alpha == 0 of the pure-phase endpoints."""
+    return alpha == 1.0, alpha == 0.0
+
+
+def _at_pure(pure, plus, minus, mixed):
+    """``plus`` where alpha == 1, ``minus`` where alpha == 0, else ``mixed``."""
+    return np.where(pure[0], plus, np.where(pure[1], minus, mixed))
+
+
+def _mu_eff(alpha, denom, pure, mat):
     if mat.mu_plus == mat.mu_minus:
         return np.full_like(alpha, mat.mu_plus)
-    denom = alpha * mat.mu_minus + (1.0 - alpha) * mat.mu_plus
-    harm = mat.mu_plus * mat.mu_minus / denom
-    return np.where(alpha == 1.0, mat.mu_plus,
-                    np.where(alpha == 0.0, mat.mu_minus, harm))
+    return _at_pure(pure, mat.mu_plus, mat.mu_minus, mat.mu_plus * mat.mu_minus / denom)
+
+
+def _p_eff(alpha, one_minus, p_p, p_m, denom, pure, mat, weighting):
+    if weighting == WEIGHTING_CROSS:
+        num = alpha * p_p * mat.mu_minus + one_minus * p_m * mat.mu_plus
+        return _at_pure(pure, p_p, p_m, num / denom)
+    return (alpha * p_p * mat.mu_plus + one_minus * p_m * mat.mu_minus) / denom
+
+
+def _relaxation_factor(alpha, one_minus, denom):
+    """k = alpha*(1-alpha)/D, which vanishes at alpha in {0, 1}."""
+    return alpha * one_minus / denom
 
 
 def _check_phase_pressures(p_plus, p_minus):
@@ -162,6 +186,43 @@ def _check_phase_pressures(p_plus, p_minus):
     if not ((p_plus >= 0).all() and (p_minus >= 0).all()):
         raise ValueError("phase pressures must be >= 0")
     return p_plus, p_minus
+
+
+def _check_weighting(weighting):
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
+
+
+def homogenized(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
+    """All homogenized coefficients of one state from one check and one D.
+
+    Returns ``(p_eff, mu_eff, k, dp)``: the effective pressure and
+    viscosity, the relaxation factor k = alpha*(1-alpha)/D and the phase
+    pressure difference dp = p_plus - p_minus, so that the volume-fraction
+    rate is ``k * (dp - (mu_+ - mu_-) * du_dx)``.  Each output is bit for
+    bit what ``p_eff``, ``mu_eff`` and ``relaxation_rhs`` return, since
+    they are built on the same formulas; the checks and their messages
+    are theirs too.
+    """
+    alpha = _check_fraction(alpha, "volume fraction")
+    _check_weighting(weighting)
+    p_p, p_m = _check_phase_pressures(p_plus, p_minus)
+    one_minus = 1.0 - alpha
+    denom = _viscosity_weight(alpha, one_minus, mat)
+    pure = _pure(alpha)
+    return (_p_eff(alpha, one_minus, p_p, p_m, denom, pure, mat, weighting),
+            _mu_eff(alpha, denom, pure, mat),
+            _relaxation_factor(alpha, one_minus, denom),
+            p_p - p_m)
+
+
+def mu_eff(alpha, mat):
+    """Homogenized viscosity mu_+ mu_- / (alpha mu_- + (1-alpha) mu_+).
+
+    Endpoints return the pure-phase viscosities exactly.
+    """
+    alpha = _check_fraction(alpha, "volume fraction")
+    return _mu_eff(alpha, _viscosity_weight(alpha, 1.0 - alpha, mat), _pure(alpha), mat)
 
 
 def p_eff(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
@@ -182,16 +243,11 @@ def p_eff(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
     pressure is rejected.
     """
     alpha = _check_fraction(alpha, "volume fraction")
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
+    _check_weighting(weighting)
     p_p, p_m = _check_phase_pressures(p_plus, p_minus)
-    denom = alpha * mat.mu_minus + (1.0 - alpha) * mat.mu_plus
-    if weighting == WEIGHTING_CROSS:
-        num = alpha * p_p * mat.mu_minus + (1.0 - alpha) * p_m * mat.mu_plus
-        return np.where(alpha == 1.0, p_p,
-                        np.where(alpha == 0.0, p_m, num / denom))
-    num = alpha * p_p * mat.mu_plus + (1.0 - alpha) * p_m * mat.mu_minus
-    return num / denom
+    one_minus = 1.0 - alpha
+    return _p_eff(alpha, one_minus, p_p, p_m, _viscosity_weight(alpha, one_minus, mat),
+                  _pure(alpha), mat, weighting)
 
 
 def relaxation_weights(alpha, mat):
@@ -201,7 +257,7 @@ def relaxation_weights(alpha, mat):
     a = 1/((1-alpha)*mu_+ + alpha*mu_-), b = (mu_- - mu_+) * a.
     """
     alpha = _check_fraction(alpha, "volume fraction")
-    denom = (1.0 - alpha) * mat.mu_plus + alpha * mat.mu_minus
+    denom = _viscosity_weight(alpha, 1.0 - alpha, mat)
     a = 1.0 / denom
     b = (mat.mu_minus - mat.mu_plus) / denom
     return a, b
@@ -219,6 +275,6 @@ def relaxation_rhs(alpha, p_plus, p_minus, du_dx, mat):
     """
     alpha = _check_fraction(alpha, "volume fraction")
     p_p, p_m = _check_phase_pressures(p_plus, p_minus)
-    denom = (1.0 - alpha) * mat.mu_plus + alpha * mat.mu_minus
-    dp = p_p - p_m
-    return alpha * (1.0 - alpha) / denom * (dp - (mat.mu_plus - mat.mu_minus) * du_dx)
+    one_minus = 1.0 - alpha
+    k = _relaxation_factor(alpha, one_minus, _viscosity_weight(alpha, one_minus, mat))
+    return k * (p_p - p_m - (mat.mu_plus - mat.mu_minus) * du_dx)

@@ -131,7 +131,12 @@ class CountingLaw(PressureLaw):
 
 class TestPressureEvaluations:
     """The phase densities are fixed within a step, so each law's pressure
-    is evaluated once per step, however many attempts the step takes."""
+    is evaluated, and alpha and the phase pressures are checked and the
+    homogenized coefficients formed, once per step, however many attempts
+    the step takes."""
+
+    # the relaxation-capped config of the benchmark's retry runs
+    STIFF = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(10.0, 5.0), 0.1, 1e-3)
 
     def counted_step(self, monkeypatch, mat, dt_max):
         counting = MaterialPair(CountingLaw(mat.law_plus), CountingLaw(mat.law_minus),
@@ -154,11 +159,18 @@ class TestPressureEvaluations:
         assert self.counted_step(monkeypatch, MAT2, 1e-4) == (1, 1, 0)
 
     def test_one_evaluation_per_law_when_the_increment_check_halves_dt(self, monkeypatch):
-        # the relaxation-capped config of the benchmark's retry runs
-        stiff = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(10.0, 5.0), 0.1, 1e-3)
-        plus, minus, refusals = self.counted_step(monkeypatch, stiff, 1.0)
+        plus, minus, refusals = self.counted_step(monkeypatch, self.STIFF, 1.0)
         assert refusals >= 1
         assert (plus, minus) == (1, 1)
+
+    def test_one_coefficient_evaluation_when_the_increment_check_halves_dt(self, monkeypatch):
+        calls = []
+        homogenized = macro.homogenized
+        monkeypatch.setattr(macro, "homogenized",
+                            lambda *args: calls.append(args) or homogenized(*args))
+        *_, refusals = self.counted_step(monkeypatch, self.STIFF, 1.0)
+        assert refusals >= 1
+        assert len(calls) == 1
 
 
 class TestPurePhaseConsistency:

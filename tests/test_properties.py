@@ -4,8 +4,9 @@ the kernel step, the one dt-halving budget of a step, the window
 integrals of coarse-graining against a cell-by-cell walk, colour purity
 of meso runs, bit-exact cell masses of meso and macro runs, the macro
 step on pure cells against the meso step, the momentum solve against a
-dense oracle, and the step's building blocks bit for bit against the
-formulas they replace."""
+dense oracle, the step's building blocks bit for bit against the
+formulas they replace, and the step's one coefficient evaluation bit for
+bit against the public coefficient functions."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from conftest import dense_solve, window_walk
 from biphase1d.diagnostics import _window_sums, estimate_alpha_meso
 from biphase1d.errors import StepFailure
 from biphase1d.macro import MacroState, init_macro_riemann, run_macro, step_macro
-from biphase1d.materials import MaterialPair, PowerLaw, TabulatedLaw, p_eff, relaxation_rhs
+from biphase1d.materials import (MaterialPair, PowerLaw, TabulatedLaw, homogenized, mu_eff,
+                                 p_eff, relaxation_rhs)
 from biphase1d.cli import parse_config
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
 from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum,
@@ -405,3 +407,18 @@ def test_pressure_form_equals_the_density_form(J, gammas, mus, weighting, data):
     denom = (1.0 - alpha) * mat.mu_plus + alpha * mat.mu_minus
     want = alpha * (1.0 - alpha) / denom * (p_p - p_m - (mat.mu_plus - mat.mu_minus) * du)
     assert same_bits(relaxation_rhs(alpha, p_p, p_m, du, mat), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(J=st.integers(1, 20), mus=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       equal=st.booleans(), weighting=st.sampled_from(("cross", "paper")), data=st.data())
+def test_homogenized_equals_the_public_coefficients(J, mus, equal, weighting, data):
+    mat = MaterialPair(PowerLaw(), PowerLaw(), mus[0], mus[0] if equal else mus[1])
+    alpha = field(data.draw, J, FRACTION)
+    p_p, p_m = field(data.draw, J, NONNEGATIVE), field(data.draw, J, NONNEGATIVE)
+    du = field(data.draw, J)
+    p_cells, mu_cells, k, dp = homogenized(alpha, p_p, p_m, mat, weighting)
+    assert same_bits(p_cells, p_eff(alpha, p_p, p_m, mat, weighting))
+    assert same_bits(mu_cells, mu_eff(alpha, mat))
+    assert same_bits(k * (dp - (mat.mu_plus - mat.mu_minus) * du),
+                     relaxation_rhs(alpha, p_p, p_m, du, mat))

@@ -1,7 +1,7 @@
 """Failure forensics: a sweep whose run breaks down leaves the same
 marker and records as `run`, a later run into the same directory does
-not keep them, and a failed run's diagnostics hold the time of the step
-that failed."""
+not keep them, a failing sweep does not keep an earlier sweep's results,
+and a failed run's diagnostics hold the time of the step that failed."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,20 @@ def test_rerun_clears_a_stale_failure_marker(tmp_path):
     assert (tmp_path / "o" / "meso_density.dat").is_file()
     assert not (tmp_path / "o" / "FAILED").exists()
     assert not (tmp_path / "o" / "partial_diagnostics.dat").exists()
+
+
+def test_failing_sweep_leaves_no_stale_results(tmp_path):
+    out = str(tmp_path / "s")
+    assert main(["sweep", '{"preset": "test1", "t_end": 0.001}', "--cells", "16,32",
+                 "--out", out]) == 0
+    assert (tmp_path / "s" / "sweep.dat").is_file()
+    assert (tmp_path / "s" / "J32" / "comparison_report.txt").is_file()
+    assert main(["sweep", DENSITY_FAILURE, "--cells", "16,32", "--out", out]) == 1
+    assert not (tmp_path / "s" / "sweep.dat").exists()
+    # J16 ran through again; J32 failed in its meso run before writing a result
+    assert (tmp_path / "s" / "J16" / "comparison_report.txt").is_file()
+    assert sorted(p.name for p in (tmp_path / "s" / "J32").iterdir()) == [
+        "FAILED", "config.json", "partial_diagnostics.dat"]
 
 
 def squeezed_macro_datum(J):
