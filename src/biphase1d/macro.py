@@ -88,8 +88,8 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     The phase densities do not change within a step, so each pressure
     law is evaluated once, and ``homogenized`` checks alpha and the phase
     pressures and forms the effective coefficients, the relaxation factor
-    k = alpha*(1-alpha)/D and dp = p_+ - p_- once: the formulas of the
-    public ``p_eff``, ``mu_eff`` and ``relaxation_rhs``, bit for bit.
+    k = alpha*(1-alpha)/D and dp = p_+ - p_- once; the public ``p_eff``,
+    ``mu_eff`` and ``relaxation_rhs`` are views of it.
     An attempt then costs the relaxation rate k*(dp - (mu_+ - mu_-)*u_x).
     """
     p_plus = mat.law_plus.pressure(state.rho_plus)

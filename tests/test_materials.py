@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biphase1d.materials import (MaterialPair, PowerLaw, TabulatedLaw,
-                                 mixture_pressure, mixture_viscosity, mu_eff,
-                                 p_eff, relaxation_rhs, relaxation_weights)
+from biphase1d.materials import (MaterialPair, PowerLaw, mixture_pressure,
+                                 mixture_viscosity, mu_eff, p_eff, relaxation_rhs,
+                                 relaxation_weights)
 
 LAWS_53 = dict(law_plus=PowerLaw(K=1.0, gamma=1.0), law_minus=PowerLaw(K=1.0, gamma=2.0))
 
@@ -80,25 +80,6 @@ class TestPotential:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="density"):
             PowerLaw().potential(-1.0)
-
-
-class TestTabulated:
-    def law(self):
-        rho_t = np.linspace(0.01, 10.0, 400)
-        return TabulatedLaw(rho_table=rho_t, p_table=rho_t**2), PowerLaw(K=1.0, gamma=2.0)
-
-    def test_interpolates_the_sampled_law(self):
-        tab, ref = self.law()
-        rho = np.linspace(0.5, 9.5, 17)
-        assert np.allclose(tab.pressure(rho), ref.pressure(rho), rtol=1e-3, atol=1e-4)
-
-    def test_potential_by_quadrature(self):
-        tab, ref = self.law()
-        assert abs(tab.potential(2.0) - ref.potential(2.0)) < 1e-3
-
-    def test_non_monotone_table_rejected(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            TabulatedLaw(rho_table=[0.0, 1.0, 2.0], p_table=[0.0, 2.0, 1.0])
 
 
 class TestMixture:

@@ -6,8 +6,8 @@ densities the pressure laws take: NaN and negative values are rejected."""
 import numpy as np
 import pytest
 
-from biphase1d.materials import (MaterialPair, PowerLaw, TabulatedLaw, mixture_pressure,
-                                 mu_eff, p_eff, relaxation_rhs)
+from biphase1d.materials import (MaterialPair, PowerLaw, mixture_pressure, mu_eff, p_eff,
+                                 relaxation_rhs)
 from biphase1d.stepping import StaggeredGrid, StepPolicy, assemble_momentum, node_mass
 
 NAN = float("nan")
@@ -30,14 +30,6 @@ CASES = {
                   "viscosities must be >= 0"),
     "power_pressure": (lambda: PowerLaw(1.0, 2.0).pressure(NAN), "density must be >= 0"),
     "power_potential": (lambda: PowerLaw(1.0, 2.0).potential(NAN), "density must be >= 0"),
-    "rho_table": (lambda: TabulatedLaw([0.5, NAN, 2.0], [0.5, 1.0, 2.0]),
-                  "rho_table must be strictly increasing"),
-    "p_table": (lambda: TabulatedLaw([0.5, 1.0, 2.0], [0.5, NAN, 2.0]),
-                "p_table must be nonnegative and nondecreasing"),
-    "tabulated_pressure": (lambda: TabulatedLaw([0.5, 2.0], [0.5, 2.0]).pressure(NAN),
-                           "density must be >= 0"),
-    "tabulated_potential": (lambda: TabulatedLaw([0.5, 2.0], [0.5, 2.0]).potential(NAN),
-                            "density must be >= 0"),
     "color": (lambda: mixture_pressure(HALF_NAN, ONES, MAT), "color must lie in"),
     "mu_eff": (lambda: mu_eff(HALF_NAN, MAT), FRACTION),
     "p_eff": (lambda: p_eff(HALF_NAN, ONES, ONES, MAT), FRACTION),

@@ -1,79 +1,32 @@
-"""Invariants stated as properties over random inputs: the closed-form
-tabulated potential against quadrature, mass and length conservation of
-the kernel step, the one dt-halving budget of a step, the window
-integrals of coarse-graining against a cell-by-cell walk, colour purity
-of meso runs, bit-exact cell masses of meso and macro runs, the macro
-step on pure cells against the meso step, the momentum solve against a
-dense oracle, the step's building blocks bit for bit against the
-formulas they replace, and the step's one coefficient evaluation bit for
-bit against the public coefficient functions."""
+"""Invariants stated as properties over random inputs: mass and length
+conservation of the kernel step, the one dt-halving budget of a step,
+the window integrals of coarse-graining against a cell-by-cell walk,
+colour purity of meso runs, bit-exact cell masses of meso and macro runs,
+the macro step on pure cells against the meso step, the momentum solve
+against a dense oracle, the step's building blocks bit for bit against
+the formulas they replace, and the step's one coefficient evaluation bit
+for bit against the public coefficient functions and against closed
+forms written here."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.integrate import quad
 
 from conftest import dense_solve, window_walk
 
 from biphase1d.diagnostics import _window_sums, estimate_alpha_meso
 from biphase1d.errors import StepFailure
 from biphase1d.macro import MacroState, init_macro_riemann, run_macro, step_macro
-from biphase1d.materials import (MaterialPair, PowerLaw, TabulatedLaw, homogenized, mu_eff,
-                                 p_eff, relaxation_rhs)
+from biphase1d.materials import (MaterialPair, PowerLaw, homogenized, mu_eff, p_eff,
+                                 relaxation_rhs)
 from biphase1d.cli import parse_config
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
 from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum,
                                 back_difference, choose_dt, lagrangian_step, left_neighbour,
                                 node_mass, right_neighbour)
 from biphase1d.tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
-
-
-def potential_by_quadrature(law, rho):
-    """Oracle: rho * int_1^rho p(s)/s^2 ds, split at the table's knots."""
-    if rho == 0.0:
-        return 0.0
-    lo, hi = min(1.0, rho), max(1.0, rho)
-    knots = [k for k in law.rho_table if lo < k < hi]
-    val, _ = quad(lambda s: law.pressure(s) / s**2, 1.0, rho,
-                  points=knots or None, limit=200)
-    return rho * val
-
-
-gaps = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=7)
-
-
-@st.composite
-def tables(draw):
-    """A monotone table; about a third of them have a knot at rho = 0."""
-    start = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
-    rho_t = start + np.concatenate(([0.0], np.cumsum(draw(gaps))))
-    rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-                          min_size=rho_t.size - 1, max_size=rho_t.size - 1))
-    p_t = draw(st.floats(0.0, 3.0)) + np.concatenate(([0.0], np.cumsum(rises)))
-    return TabulatedLaw(rho_table=rho_t, p_table=p_t)
-
-
-@settings(max_examples=60, deadline=None)
-@given(law=tables(), where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-def test_tabulated_potential_matches_quadrature(law, where):
-    r_t, w = law.rho_table, np.asarray(where)
-    below, inside, above = r_t[0] * w, r_t[0] + (r_t[-1] - r_t[0]) * w, r_t[-1] * (1.0 + w)
-    # the oracle's quadrature loses accuracy where p/s^2 blows up, below 1e-3
-    rho = np.maximum(np.concatenate((below, inside, above, r_t, [1.0])), 1e-3)
-    rho = np.append(rho, 0.0)
-    got = law.potential(rho)
-    ref = np.array([potential_by_quadrature(law, r) for r in rho])
-    assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
-    assert law.potential(0.0) == 0.0
-    assert np.ndim(law.potential(rho[0])) == 0
-
-
-def test_tabulated_potential_rejects_negative_density():
-    law = TabulatedLaw(rho_table=[0.0, 1.0], p_table=[0.0, 1.0])
-    with pytest.raises(ValueError, match="density"):
-        law.potential([1.0, -0.5])
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,3 +375,29 @@ def test_homogenized_equals_the_public_coefficients(J, mus, equal, weighting, da
     assert same_bits(mu_cells, mu_eff(alpha, mat))
     assert same_bits(k * (dp - (mat.mu_plus - mat.mu_minus) * du),
                      relaxation_rhs(alpha, p_p, p_m, du, mat))
+
+
+@settings(max_examples=100, deadline=None)
+@given(J=st.integers(0, 20), mus=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       equal=st.booleans(), weighting=st.sampled_from(("cross", "paper")), data=st.data())
+def test_homogenized_equals_its_closed_forms(J, mus, equal, weighting, data):
+    mu_p, mu_m = mus[0], mus[0] if equal else mus[1]
+    mat = MaterialPair(PowerLaw(), PowerLaw(), mu_p, mu_m)
+    alpha = np.concatenate(([0.0, 1.0], field(data.draw, J, FRACTION)))
+    p_p, p_m = field(data.draw, J + 2, NONNEGATIVE), field(data.draw, J + 2, NONNEGATIVE)
+    p_cells, mu_cells, k, dp = homogenized(alpha, p_p, p_m, mat, weighting)
+
+    denom = alpha * mu_m + (1.0 - alpha) * mu_p
+    if weighting == "cross":
+        num = alpha * p_p * mu_m + (1.0 - alpha) * p_m * mu_p
+        want = np.where(alpha == 1.0, p_p, np.where(alpha == 0.0, p_m, num / denom))
+    else:
+        want = (alpha * p_p * mu_p + (1.0 - alpha) * p_m * mu_m) / denom
+    assert same_bits(p_cells, want)
+    if equal:
+        want = np.full(J + 2, mu_p)
+    else:
+        want = np.where(alpha == 1.0, mu_p, np.where(alpha == 0.0, mu_m, mu_p * mu_m / denom))
+    assert same_bits(mu_cells, want)
+    assert same_bits(k, alpha * (1.0 - alpha) / denom)
+    assert same_bits(dp, p_p - p_m)
