@@ -201,31 +201,21 @@ def _write_table(path, names, columns):
                header=" ".join(names), comments="# ")
 
 
-_COARSE_COLUMNS = ("alpha", "rho", "rho_plus", "rho_minus", "u")
+def write_fields(state, path, columns=None):
+    """Write a state snapshot as a plain-text table.
 
-
-def write_fields(obj, path, columns=None):
-    """Write a state or coarse-field snapshot as a plain-text table.
-
-    Columns are read by name: a state's attributes (``rho`` when none are
-    given), a coarse field's ``<name>_hat`` window averages (all of them
-    when none are given).  A state's velocity ``u`` is listed at the
-    interfaces, every other quantity at cell midpoints (both mapped onto
-    the torus); the requested columns must therefore all live at the same
-    location.
+    Columns are the state's attributes named in ``columns`` (``rho`` when
+    none are given).  The velocity ``u`` is listed at the interfaces,
+    every other quantity at cell midpoints (both mapped onto the torus);
+    the requested columns must therefore all live at the same location.
     """
-    if isinstance(obj, diagnostics.CoarseFields):
-        columns = columns or _COARSE_COLUMNS
-        cols = [obj.centers] + [getattr(obj, name + "_hat") for name in columns]
-        _write_table(path, ("x",) + tuple(columns), cols)
-        return
     columns = columns or ("rho",)
     on_nodes = {name == "u" for name in columns}
     if len(on_nodes) != 1:
         raise ValueError("cannot mix cell and node quantities in one file")
-    grid = obj.grid
+    grid = state.grid
     x = (grid.node_x if on_nodes == {True} else grid.midpoints) % grid.length
-    cols = [x] + [np.asarray(getattr(obj, name), dtype=float) for name in columns]
+    cols = [x] + [np.asarray(getattr(state, name), dtype=float) for name in columns]
     _write_table(path, ("x",) + tuple(columns), cols)
 
 
@@ -240,12 +230,19 @@ def write_diagnostics(records, path):
 
 
 def _write_comparison(out, coarse_meso, coarse_macro, norms, config, clamp_events):
+    """Each scheme's coarse fields, the two side by side, and the norms of
+    their differences."""
+    fields = diagnostics.COARSE_FIELDS
+    meso = [getattr(coarse_meso, name + "_hat") for name in fields]
+    macro = [getattr(coarse_macro, name + "_hat") for name in fields]
+    x = [coarse_meso.centers]
+    _write_table(out / "meso_coarse.dat", ("x",) + fields, x + meso)
+    _write_table(out / "macro_coarse.dat", ("x",) + fields, x + macro)
     names = ["x"]
-    cols = [coarse_meso.centers]
-    for short in _COARSE_COLUMNS:
-        names += [f"{short}_meso", f"{short}_macro"]
-        cols += [getattr(coarse_meso, short + "_hat"), getattr(coarse_macro, short + "_hat")]
-    _write_table(out / "comparison_windows.dat", names, cols)
+    for name in fields:
+        names += [f"{name}_meso", f"{name}_macro"]
+    _write_table(out / "comparison_windows.dat", names,
+                 x + [col for pair in zip(meso, macro) for col in pair])
 
     with open(out / "comparison_report.txt", "w", newline="\n") as fh:
         fh.write(f"# meso vs macro on K={config.coarse_K} windows, "
@@ -253,9 +250,9 @@ def _write_comparison(out, coarse_meso, coarse_macro, norms, config, clamp_event
                  f"t_end={config.t_end:g}\n")
         keys = ("l1", "l2", "linf", "rel_l1", "rel_l2", "rel_linf")
         fh.write("# field " + " ".join(keys) + "\n")
-        for short in _COARSE_COLUMNS:
-            n = norms[short + "_hat"]
-            fh.write(" ".join([short] + [f"{n[k]:.17g}" for k in keys]) + "\n")
+        for name in fields:
+            n = norms[name + "_hat"]
+            fh.write(" ".join([name] + [f"{n[k]:.17g}" for k in keys]) + "\n")
         fh.write(f"# macro clamp_events = {clamp_events}\n")
 
 
@@ -318,8 +315,6 @@ def _execute(config):
         coarse_meso = diagnostics.coarse_grain(results["meso"][0], config.coarse_K)
         coarse_macro = diagnostics.coarse_grain(results["macro"][0], config.coarse_K)
         norms = diagnostics.compare_fields(coarse_meso, coarse_macro)
-        write_fields(coarse_meso, out / "meso_coarse.dat")
-        write_fields(coarse_macro, out / "macro_coarse.dat")
         _write_comparison(out, coarse_meso, coarse_macro, norms, config,
                           results["macro"][0].clamp_events)
         results["norms"] = norms

@@ -99,20 +99,18 @@ def snapshot(state, mat, dt_used=0.0):
     )
 
 
-def estimate_alpha_meso(state, j=None):
-    """Volume-fraction estimate at cell j: the fraction of the window
-    reaching from the midpoint of cell j-1 to the midpoint of cell j+1
-    (periodic) that is occupied by phase +.  Exact length bookkeeping:
+def estimate_alpha_meso(state):
+    """Volume-fraction estimate of every cell j: the fraction of the
+    window reaching from the midpoint of cell j-1 to the midpoint of cell
+    j+1 (periodic) that is occupied by phase +.  Exact length bookkeeping:
     cell j counts fully, each neighbour with half its width, so a pure
-    + field estimates to 1 and the alternating uniform datum to 1/2.
-    j=None returns the whole field."""
+    + field estimates to 1 and the alternating uniform datum to 1/2."""
     c = state.weight
     dx = state.grid.cell_dx
     half_l = 0.5 * left_neighbour(dx)
     half_r = 0.5 * right_neighbour(dx)
     num = c * dx + left_neighbour(c) * half_l + right_neighbour(c) * half_r
-    est = num / (dx + half_l + half_r)
-    return est if j is None else float(est[j])
+    return num / (dx + half_l + half_r)
 
 
 def _window_sums(state, K):
@@ -210,7 +208,8 @@ def two_point_structure(state, K):
                           gap=gap, concentration=conc)
 
 
-_COMPARE_FIELDS = ("alpha_hat", "rho_hat", "rho_plus_hat", "rho_minus_hat", "u_hat")
+# the compared coarse fields: CoarseFields holds each as <name>_hat
+COARSE_FIELDS = ("alpha", "rho", "rho_plus", "rho_minus", "u")
 
 
 def _norms(v, wlen):
@@ -225,14 +224,15 @@ def _norms(v, wlen):
 def compare_fields(a, b):
     """Discrete norms of the differences between two window layouts.
 
-    Returns {field: {l1, l2, linf, rel_l1, rel_l2, rel_linf}}; the
-    relative norms are scaled by the corresponding norm of ``b``.
-    Windows where either side is NaN are excluded.
+    Returns {<name>_hat: {l1, l2, linf, rel_l1, rel_l2, rel_linf}} for
+    each name in COARSE_FIELDS; the relative norms are scaled by the
+    corresponding norm of ``b``.  Windows where either side is NaN are
+    excluded.
     """
     if a.K != b.K or not np.allclose(a.centers, b.centers, atol=1e-12, rtol=0):
         raise ValueError("window layouts differ; compare like with like")
     report = {}
-    for name in _COMPARE_FIELDS:
+    for name in (short + "_hat" for short in COARSE_FIELDS):
         fa, fb = getattr(a, name), getattr(b, name)
         ok = np.isfinite(fa) & np.isfinite(fb)
         wlen = a.window_len[ok]

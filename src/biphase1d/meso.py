@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .errors import StepFailure
+from .errors import SolverError
 from .materials import mixture_pressure, mixture_viscosity
 from .stepping import StaggeredGrid, lagrangian_step
 
@@ -91,7 +91,7 @@ def run_scheme(state, advance, config):
 
     Returns (final state, diagnostics records).  Records are emitted at
     the start, every config.cadence accepted steps, and at t_end; the last
-    step is clamped so the run lands on t_end exactly.  A StepFailure
+    step is clamped so the run lands on t_end exactly.  A SolverError
     leaves with the records taken so far and the time before the failed
     step in its diagnostics.
     """
@@ -107,7 +107,7 @@ def run_scheme(state, advance, config):
             if steps % config.cadence == 0 or state.t >= config.t_end:
                 records.append(diagnostics.snapshot(state, config.mat,
                                                     dt_used=state.t - t_before))
-    except StepFailure as failure:
+    except SolverError as failure:
         failure.diagnostics.update(t=state.t, records=records)
         raise
     return state, records

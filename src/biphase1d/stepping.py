@@ -6,10 +6,9 @@ live on moving cells; velocities live on the cell interfaces (nodes).
 Node j is the interface at ``node_x[j]``, cell j is the interval ending
 there, so cell j+1 (mod J) lies to the node's right.  Node coordinates
 are kept unwrapped (strictly increasing); the torus seam is closed by the
-stored total length.
+unit length.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,10 @@ _CFL_EPS = 1e-12
 # generous runtime envelope for densities; violations indicate a blown-up run
 RHO_SANE_MIN = 1e-4
 RHO_SANE_MAX = 1e4
+
+# the one dt-halving budget of a step, shared by cell inversions and the
+# macro scheme's relaxation rejections
+MAX_HALVINGS = 40
 
 
 # Periodic neighbour shifts by slices: bit for bit the arrays that numpy's
@@ -55,15 +58,15 @@ def back_difference(a):
 @dataclass
 class StaggeredGrid:
     node_x: np.ndarray
-    length: float = 1.0
     cell_dx: np.ndarray = field(init=False, repr=False)
+
+    # the torus is the unit interval
+    length = 1.0
 
     def __post_init__(self):
         self.node_x = np.asarray(self.node_x, dtype=float)
         if self.node_x.ndim != 1 or self.node_x.size < 3:
             raise ValueError("grid needs at least 3 interface positions")
-        if not 0 < self.length < np.inf:
-            raise ValueError("domain length must be > 0 and finite")
         dx = back_difference(self.node_x)
         dx[0] += self.length
         if not (dx > 0).all():
@@ -71,8 +74,8 @@ class StaggeredGrid:
         self.cell_dx = dx
 
     @classmethod
-    def uniform(cls, J, length=1.0):
-        return cls(np.arange(1, J + 1) * (length / J), length)
+    def uniform(cls, J):
+        return cls(np.arange(1, J + 1) * (cls.length / J))
 
     @property
     def J(self):
@@ -94,24 +97,17 @@ class StepPolicy:
 
     cfl_theta bounds the fraction of the smallest cell a node may sweep
     per step (predicted from the current velocity jumps); dt_max is an
-    absolute cap; max_halvings is the one dt-halving budget of a step,
-    shared by cell inversions and the macro scheme's relaxation rejections.
+    absolute cap.
     """
 
     cfl_theta: float = 0.4
     dt_max: float = 1e-4
-    max_halvings: int = 40
 
     def __post_init__(self):
         if not 0 < self.cfl_theta < 1:
             raise ValueError("cfl_theta must lie in (0, 1)")
         if not 0 < self.dt_max < np.inf:
             raise ValueError("dt_max must be > 0 and finite")
-        if (isinstance(self.max_halvings, bool)
-                or not isinstance(self.max_halvings, numbers.Integral)):
-            raise ValueError(f"max_halvings must be an integer, got {self.max_halvings!r}")
-        if self.max_halvings < 1:
-            raise ValueError("max_halvings must be >= 1")
 
 
 @dataclass
@@ -180,35 +176,38 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit=
     The dt candidate comes from choose_dt (optionally capped by dt_limit,
     e.g. to land on an output time).  An attempt whose velocities would
     invert a cell, or that ``accept(u_new, new_grid, dt)`` turns down,
-    halves dt and repeats the solve; both causes share the
-    policy.max_halvings budget.  A density of the accepted step outside
-    [RHO_SANE_MIN, RHO_SANE_MAX] means the run has blown up: it fails
-    the step at once, with no retry.  The returned dissipation increment
-    is dt * sum(mu (du/dx)^2 dx) evaluated with the new velocities on the
-    pre-step mesh, matching the implicit discretization.
+    halves dt and repeats the solve; both causes share the MAX_HALVINGS
+    budget.  Cell pressures that are not all finite fail the step before
+    any solve, as no dt can mend them.  A density of the accepted step
+    outside [RHO_SANE_MIN, RHO_SANE_MAX] means the run has blown up: it
+    fails the step at once, with no retry.  The returned dissipation
+    increment is dt * sum(mu (du/dx)^2 dx) evaluated with the new
+    velocities on the pre-step mesh, matching the implicit discretization.
     """
     m_node = node_mass(cell_mass)
+    if not np.isfinite(p_cells).all():
+        raise StepFailure("cell pressures are not all finite")
 
     dt = choose_dt(grid, u_old, policy)
     if dt_limit is not None:
         dt = min(dt, dt_limit)
 
-    for halvings in range(policy.max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         # the system stays unnamed so it dies at once: fewer live temporaries
         # at large J keep the heap from being trimmed and refaulted every step
         u_new = solve_cyclic_tridiagonal(
             assemble_momentum(grid, u_old, mu_cells, p_cells, m_node, dt))
-        # mesh motion: the total length telescopes, so it carries over
+        # mesh motion: the widths still add up to the unit length
         try:
-            new_grid = StaggeredGrid(grid.node_x + dt * u_new, grid.length)
+            new_grid = StaggeredGrid(grid.node_x + dt * u_new)
         except ValueError:  # a cell width <= 0: the mesh inverted
             new_grid = None
         if new_grid is not None and (accept is None or accept(u_new, new_grid, dt)):
             break
-        if halvings == policy.max_halvings:
+        if halvings == MAX_HALVINGS:
             cause = "cell inversion" if new_grid is None else "step rejection"
             raise StepFailure(
-                f"{cause} persisted after {policy.max_halvings} dt halvings",
+                f"{cause} persisted after {MAX_HALVINGS} dt halvings",
                 diagnostics={"dt": dt, "min_dx": float(grid.cell_dx.min()),
                              "max_u": float(np.abs(u_new).max())},
             )

@@ -1,13 +1,15 @@
 """Config parsing, presets, writers, orchestration, and the CLI entry."""
 
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from biphase1d import stepping
 from biphase1d.cli import (PRESETS, main, parse_config, run_experiment,
                            run_sweep, write_diagnostics, write_fields)
-from biphase1d.diagnostics import DiagnosticsRecord, coarse_grain
+from biphase1d.diagnostics import DiagnosticsRecord
 from biphase1d.errors import ConfigError
 from biphase1d.meso import MesoState, init_meso_riemann
 from biphase1d.stepping import StaggeredGrid
@@ -121,12 +123,21 @@ class TestWriters:
             write_fields(s, tmp_path / "bad.dat", columns=("rho", "u"))
 
     def test_coarse_fields_file(self, tmp_path):
-        cf = coarse_grain(init_meso_riemann(64), 4)
-        path = tmp_path / "coarse.dat"
-        write_fields(cf, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# x alpha rho rho_plus rho_minus u"
-        assert len(lines) == 5
+        cfg = parse_config({"cells": 64, "t_end": 1e-3, "coarse_K": 4,
+                            "output_dir": str(tmp_path)})
+        assert run_experiment(cfg) == 0
+        windows = (tmp_path / "comparison_windows.dat").read_text().splitlines()
+        names = windows[0].split()[1:]
+        rows = [line.split() for line in windows[1:]]
+        for scheme in ("meso", "macro"):
+            lines = (tmp_path / f"{scheme}_coarse.dat").read_text().splitlines()
+            assert lines[0] == "# x alpha rho rho_plus rho_minus u"
+            assert len(lines) == 5
+            # each coarse column is its scheme's column of the side-by-side table
+            picks = [names.index("x")] + [names.index(f"{name}_{scheme}")
+                                          for name in lines[0].split()[2:]]
+            assert [line.split() for line in lines[1:]] == [[row[i] for i in picks]
+                                                            for row in rows]
 
     def test_diagnostics_schema(self, tmp_path):
         rec = DiagnosticsRecord(t=0.0, total_mass=1.0, kinetic_energy=0.0,
@@ -181,8 +192,8 @@ class TestRunExperiment:
         cfg = parse_config('{"cells": 16, "t_end": 1.0, "dt_max": 1.0, '
                            '"scheme": "meso", "coarse_K": 4, '
                            '"output_dir": "%s"}' % (tmp_path / "boom"))
-        cfg.policy.max_halvings = 1
-        assert run_experiment(cfg) == 1
+        with patch.object(stepping, "MAX_HALVINGS", 1):
+            assert run_experiment(cfg) == 1
         assert (tmp_path / "boom" / "FAILED").is_file()
         assert (tmp_path / "boom" / "partial_diagnostics.dat").is_file()
 

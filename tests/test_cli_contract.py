@@ -6,7 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from biphase1d.cli import main
@@ -31,6 +31,13 @@ configs = st.fixed_dictionaries(
 )
 
 
+# p_- overflows to inf: a FAILED run, for every scheme
+@example(config={"preset": "test2", "scheme": "meso", "cells": 20, "K_minus": 1e308,
+                 "t_end": 0.001}, as_file=False)
+@example(config={"preset": "test2", "scheme": "macro", "cells": 20, "K_minus": 1e308,
+                 "t_end": 0.001}, as_file=False)
+@example(config={"preset": "test2", "scheme": "both", "cells": 20, "K_minus": 1e308,
+                 "t_end": 0.001}, as_file=False)
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs, as_file=st.booleans())

@@ -79,8 +79,9 @@ class TestAlphaEstimate:
         s = alternating_state()
         s.c = np.zeros(s.grid.J)
         s.c[5] = 1.0
-        assert np.isclose(estimate_alpha_meso(s, 5), 0.5, rtol=1e-14)
-        assert estimate_alpha_meso(s, 7) == 0.0
+        est = estimate_alpha_meso(s)
+        assert np.isclose(est[5], 0.5, rtol=1e-14)
+        assert est[7] == 0.0
 
     def test_alternating_datum_estimates_one_half(self):
         # the estimate must reproduce the weak limit of the alternating

@@ -123,7 +123,7 @@ def mirror(state):
     L = grid.length
     new_x = L - grid.node_x[::-1]
     idx = (-np.arange(grid.J)) % grid.J
-    return MesoState(grid=StaggeredGrid(new_x, L), u=-state.u[::-1],
+    return MesoState(grid=StaggeredGrid(new_x), u=-state.u[::-1],
                      cell_mass=state.cell_mass[idx], c=state.c[idx],
                      t=state.t, dissipated=state.dissipated)
 

@@ -49,8 +49,6 @@ def test_nan_is_rejected(call, message):
 
 
 INF_CASES = {
-    "grid_length": (lambda: StaggeredGrid([0.1, 0.5, 0.6], length=INF),
-                    "domain length must be > 0 and finite"),
     "dt_max": (lambda: StepPolicy(dt_max=INF), "dt_max must be > 0 and finite"),
     "power_K": (lambda: PowerLaw(K=INF), "pressure coefficient must be > 0 and finite"),
     "power_gamma": (lambda: PowerLaw(gamma=INF), "pressure exponent must be >= 1 and finite"),

@@ -1,8 +1,11 @@
 """Staggered grid, node masses, momentum assembly, mesh motion, and the full step."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from biphase1d import stepping
 from biphase1d.errors import StepFailure
 from biphase1d.meso import MesoState
 from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum, choose_dt,
@@ -36,17 +39,17 @@ class TestGrid:
     def test_total_length(self):
         rng = np.random.default_rng(0)
         x = np.sort(rng.uniform(0, 1, 19))
-        g = StaggeredGrid(x, length=1.0)
+        g = StaggeredGrid(x)
         assert abs(np.sum(g.cell_dx) - 1.0) < 1e-14
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="widths"):
-            StaggeredGrid([0.2, 0.1, 0.6], length=1.0)
+            StaggeredGrid([0.2, 0.1, 0.6])
 
     def test_span_exceeding_length_rejected(self):
         # seam cell would have negative width
         with pytest.raises(ValueError, match="widths"):
-            StaggeredGrid([0.1, 0.5, 1.3], length=1.0)
+            StaggeredGrid([0.1, 0.5, 1.3])
 
 
 class TestNodeDensity:
@@ -60,18 +63,18 @@ class TestNodeDensity:
 
     def test_weighted_mean(self):
         # widths (1, 3) ratio around node 0: (1*4 + 3*0.8)/4 = 1.6
-        g = StaggeredGrid(np.array([0.125, 0.5, 0.75, 1.0]), length=1.0)
+        g = StaggeredGrid(np.array([0.125, 0.5, 0.75, 1.0]))
         rho = np.array([4.0, 0.8, 1.0, 1.0])
         got = node_density(rho, g)
         assert np.isclose(got[0], (0.125 * 4.0 + 0.375 * 0.8) / 0.5)
 
     def test_constant_field(self):
-        g = StaggeredGrid(np.cumsum([0.1, 0.3, 0.2, 0.4]), length=1.0)
+        g = StaggeredGrid(np.cumsum([0.1, 0.3, 0.2, 0.4]))
         assert np.allclose(node_density(np.full(4, 2.5), g), 2.5)
 
     def test_bounded_by_neighbors(self):
         rng = np.random.default_rng(1)
-        g = StaggeredGrid(np.sort(rng.uniform(0, 1, 16)), length=1.0)
+        g = StaggeredGrid(np.sort(rng.uniform(0, 1, 16)))
         rho = rng.uniform(0.5, 3.0, 16)
         nd = node_density(rho, g)
         lo = np.minimum(rho, np.roll(rho, -1))
@@ -119,7 +122,7 @@ class TestMomentum:
 
     def test_strict_diagonal_dominance(self):
         rng = np.random.default_rng(2)
-        g = StaggeredGrid(np.sort(rng.uniform(0, 1, 12)), length=1.0)
+        g = StaggeredGrid(np.sort(rng.uniform(0, 1, 12)))
         sys = assemble_momentum(g, rng.normal(size=12), rng.uniform(0.01, 1, 12),
                                 rng.uniform(0.5, 4, 12), rng.uniform(0.1, 2, 12),
                                 dt=0.3)
@@ -137,71 +140,58 @@ class TestMomentum:
 class TestMeshMotion:
     def test_zero_velocity(self):
         g = StaggeredGrid.uniform(6)
-        g2 = StaggeredGrid(g.node_x + 0.1 * np.zeros(6), g.length)
+        g2 = StaggeredGrid(g.node_x + 0.1 * np.zeros(6))
         assert np.array_equal(g2.node_x, g.node_x)
 
     def test_rigid_translation(self):
-        g = StaggeredGrid(np.sort(np.random.default_rng(3).uniform(0, 1, 9)), length=1.0)
-        g2 = StaggeredGrid(g.node_x + 0.05 * np.full(9, 2.0), g.length)
+        g = StaggeredGrid(np.sort(np.random.default_rng(3).uniform(0, 1, 9)))
+        g2 = StaggeredGrid(g.node_x + 0.05 * np.full(9, 2.0))
         assert np.allclose(g2.node_x, g.node_x + 0.1)
         assert np.allclose(g2.cell_dx, g.cell_dx, atol=1e-15)
 
     def test_total_width_preserved(self):
         rng = np.random.default_rng(4)
-        g = StaggeredGrid(np.sort(rng.uniform(0, 1, 33)), length=1.0)
-        g2 = StaggeredGrid(g.node_x + 1e-3 * rng.normal(scale=0.1, size=33), g.length)
+        g = StaggeredGrid(np.sort(rng.uniform(0, 1, 33)))
+        g2 = StaggeredGrid(g.node_x + 1e-3 * rng.normal(scale=0.1, size=33))
         assert abs(np.sum(g2.cell_dx) - np.sum(g.cell_dx)) < 1e-14
 
     def test_inversion_rejected(self):
         g = StaggeredGrid.uniform(4)
         u = np.array([10.0, -10.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="cell widths"):
-            StaggeredGrid(g.node_x + 0.1 * u, g.length)
+            StaggeredGrid(g.node_x + 0.1 * u)
 
 
 class TestDensityUpdate:
     """A density is its cell's constant mass over the cell's current width."""
 
     def test_unchanged_widths(self):
-        g = StaggeredGrid(np.array([0.1, 0.3, 1.0]), length=1.0)
+        g = StaggeredGrid(np.array([0.1, 0.3, 1.0]))
         s = density_state(g, np.array([1.0, 2.0, 3.0]))
-        moved = MesoState(grid=StaggeredGrid(g.node_x + 0.1 * np.zeros(3), g.length), u=s.u,
+        moved = MesoState(grid=StaggeredGrid(g.node_x + 0.1 * np.zeros(3)), u=s.u,
                           cell_mass=s.cell_mass, c=s.c)
         assert np.array_equal(moved.rho, s.rho)
 
     def test_doubled_width_halves_density(self):
-        s = density_state(StaggeredGrid.uniform(4), np.full(4, 2.0))
-        doubled = MesoState(grid=StaggeredGrid.uniform(4, length=2.0), u=s.u,
-                            cell_mass=s.cell_mass, c=s.c)
+        s = density_state(StaggeredGrid.uniform(8), np.full(8, 2.0))
+        # four of those cell masses on cells twice as wide
+        doubled = MesoState(grid=StaggeredGrid.uniform(4), u=np.zeros(4),
+                            cell_mass=s.cell_mass[::2], c=np.ones(4))
         assert np.all(doubled.rho == 1.0)
 
     def test_hand_value(self):
         # widths (1/4, 1/4, 1/2) and masses (1/2, 1/8, 1/2)
-        g = StaggeredGrid(np.array([0.25, 0.5, 1.0]), length=1.0)
+        g = StaggeredGrid(np.array([0.25, 0.5, 1.0]))
         s = MesoState(grid=g, u=np.zeros(3), cell_mass=np.array([0.5, 0.125, 0.5]),
                       c=np.ones(3))
         assert np.array_equal(s.rho, [2.0, 0.5, 1.0])
 
     def test_mass_reproducible(self):
         rng = np.random.default_rng(5)
-        g = StaggeredGrid(np.cumsum(rng.uniform(1e-4, 1e-2, 100)), length=1.0)
+        g = StaggeredGrid(np.cumsum(rng.uniform(1e-4, 1e-2, 100)))
         s = density_state(StaggeredGrid.uniform(100), rng.uniform(0.1, 5, 100))
         moved = MesoState(grid=g, u=s.u, cell_mass=s.cell_mass, c=s.c)
         assert np.allclose(moved.rho * g.cell_dx, s.cell_mass, rtol=1e-15, atol=0.0)
-
-
-class TestStepPolicy:
-    @pytest.mark.parametrize("bad", [2.5, 3.0, float("inf"), float("nan"), True, False],
-                             ids=["fraction", "integral_float", "inf", "nan", "true", "false"])
-    def test_non_integer_max_halvings_rejected(self, bad):
-        # each of these used to pass here and fail the first step inside range()
-        with pytest.raises(ValueError, match="max_halvings must be an integer"):
-            StepPolicy(max_halvings=bad)
-
-    def test_integer_max_halvings_accepted(self):
-        assert StepPolicy(max_halvings=np.int64(3)).max_halvings == 3
-        with pytest.raises(ValueError, match="max_halvings must be >= 1"):
-            StepPolicy(max_halvings=0)
 
 
 class TestChooseDt:
@@ -295,12 +285,13 @@ class TestLagrangianStep:
         # force halvings
         g = StaggeredGrid.uniform(8)
         p = np.where(np.arange(8) % 2 == 0, 100.0, 0.0)
-        out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
-                              policy(dt_max=1.0, max_halvings=60))
+        with patch.object(stepping, "MAX_HALVINGS", 60):
+            out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
+                                  policy(dt_max=1.0))
         assert out.halvings > 0
-        with pytest.raises(StepFailure, match="cell inversion persisted after 1 ") as info:
-            lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
-                            policy(dt_max=1.0, max_halvings=1))
+        with (patch.object(stepping, "MAX_HALVINGS", 1),
+              pytest.raises(StepFailure, match="cell inversion persisted after 1 ") as info):
+            lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p, policy(dt_max=1.0))
         # dt = 1 and 1/2 both invert; the failure reports the last of them
         assert info.value.diagnostics["dt"] == 0.5
 
@@ -312,9 +303,10 @@ class TestLagrangianStep:
             tried.append(dt)
             return False
 
-        with pytest.raises(StepFailure, match="step rejection persisted after 3 ") as info:
+        with (patch.object(stepping, "MAX_HALVINGS", 3),
+              pytest.raises(StepFailure, match="step rejection persisted after 3 ") as info):
             lagrangian_step(g, np.zeros(8), g.cell_dx, np.full(8, 0.1), np.ones(8),
-                            policy(dt_max=1e-2, max_halvings=3), accept=refuse)
+                            policy(dt_max=1e-2), accept=refuse)
         assert tried == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
         assert info.value.diagnostics["dt"] == 1.25e-3
 

@@ -1,12 +1,16 @@
 """Failure forensics: a sweep whose run breaks down leaves the same
 marker and records as `run`, a later run into the same directory does
 not keep them, a failing sweep does not keep an earlier sweep's results,
-and a failed run's diagnostics hold the time of the step that failed."""
+a failed run's diagnostics hold the time of the step that failed, and a
+pressure that overflows fails a run of any scheme the same way."""
+
+import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from biphase1d import macro
+from biphase1d import macro, stepping
 from biphase1d.cli import main, parse_config
 from biphase1d.errors import StepFailure
 from biphase1d.macro import MacroState, run_macro
@@ -102,7 +106,23 @@ def test_inversion_failure_carries_the_time(run):
     config = parse_config('{"cells": 16, "t_end": 1.0, "dt_max": 1.0, "cadence": 1, '
                           '"coarse_K": 4, "gamma_minus": 1, '
                           '"mu_plus": 0.001, "mu_minus": 0.001}')
-    config.policy.max_halvings = 1
-    message, diag = failure_of(run, config)
+    with patch.object(stepping, "MAX_HALVINGS", 1):
+        message, diag = failure_of(run, config)
     assert message == "cell inversion persisted after 1 dt halvings"
     assert diag["t"] == diag["records"][-1].t == 0.0
+
+
+# p_- = 1e308 rho^2 overflows to inf in every cell denser than 1
+PRESSURE_OVERFLOW = {"preset": "test2", "cells": 20, "K_minus": 1e308, "t_end": 0.001}
+
+
+@pytest.mark.parametrize("scheme", ["meso", "macro", "both"])
+def test_non_finite_pressure_fails_the_run(scheme, tmp_path, capsys):
+    out = tmp_path / scheme
+    config = json.dumps({**PRESSURE_OVERFLOW, "scheme": scheme})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", config, "--out", str(out)]) == 1
+    assert (out / "FAILED").read_text() == "cell pressures are not all finite\n"
+    # the failure comes before the first step, so the records hold t = 0 only
+    assert np.loadtxt(out / "partial_diagnostics.dat", ndmin=2)[:, 0].tolist() == [0.0]
+    assert "Traceback" not in capsys.readouterr().err
