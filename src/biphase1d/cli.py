@@ -196,9 +196,21 @@ def _load_json(text):
 # ---------------------------------------------------------------------------
 # writers
 
+# rows formatted per `%` call: the text of one block stays a few MB at J=1e5
+_BLOCK_ROWS = 8192
+
+
 def _write_table(path, names, columns):
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g",
-               header=" ".join(names), comments="# ")
+    """Write the columns as a "# name ..." header and one "%.17g" row per
+    line, the bytes np.savetxt writes, formatting a block of rows at once
+    instead of one row per Python-level call."""
+    table = np.column_stack(columns)
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# " + " ".join(names) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_fields(state, path, columns=None):

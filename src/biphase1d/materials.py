@@ -97,9 +97,15 @@ def mixture_viscosity(c, mat):
 
 
 def mixture_potential(c, rho, mat):
-    """Pressure potential of the mixture, affine in c like the pressure."""
+    """Pressure potential of the mixture, affine in c like the pressure.
+
+    A pure cell (c in {0, 1}) takes its own phase's potential, so an
+    overflowing law of the absent phase cannot turn it into 0 * inf = NaN.
+    """
     c = _check_fraction(c, "color")
-    return c * mat.law_plus.potential(rho) + (1.0 - c) * mat.law_minus.potential(rho)
+    phi_plus, phi_minus = mat.law_plus.potential(rho), mat.law_minus.potential(rho)
+    mixed = c * phi_plus + (1.0 - c) * phi_minus
+    return np.where(c == 1.0, phi_plus, np.where(c == 0.0, phi_minus, mixed))
 
 
 def _viscosity_weight(alpha, one_minus, mat):

@@ -1,14 +1,18 @@
 """Config parsing, presets, writers, orchestration, and the CLI entry."""
 
 import json
+import tempfile
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biphase1d import stepping
-from biphase1d.cli import (PRESETS, main, parse_config, run_experiment,
-                           run_sweep, write_diagnostics, write_fields)
+from biphase1d.cli import (_BLOCK_ROWS, PRESETS, _write_table, main, parse_config,
+                           run_experiment, run_sweep, write_diagnostics, write_fields)
 from biphase1d.diagnostics import DiagnosticsRecord
 from biphase1d.errors import ConfigError
 from biphase1d.meso import MesoState, init_meso_riemann
@@ -312,3 +316,36 @@ def test_uncreatable_output_dir_is_a_config_error(command, below, tmp_path, caps
     assert main([command, "test1", "--cells", "16", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: key 'output_dir': ")
     assert blocker.read_text() == "keep"
+
+
+# values whose text is easiest to get wrong: non-finite, signed zero, subnormal, huge
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+           1e300, -1e300, 1.0 / 3.0)
+table_values = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def assert_writes_savetxt_bytes(names, columns):
+    """_write_table writes byte for byte what np.savetxt writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.dat", Path(tmp) / "ref.dat"
+        _write_table(ours, names, columns)
+        np.savetxt(ref, np.column_stack(columns), fmt="%.17g",
+                   header=" ".join(names), comments="# ")
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+@given(st.integers(1, 11).flatmap(
+    lambda ncols: st.lists(st.lists(table_values, min_size=ncols, max_size=ncols), max_size=40)
+    .map(lambda rows: np.array(rows, dtype=float).reshape(-1, ncols))))
+def test_table_writer_matches_savetxt(table):
+    names = tuple(f"c{i}" for i in range(table.shape[1]))
+    assert_writes_savetxt_bytes(names, list(table.T))
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                  2 * _BLOCK_ROWS + 1])
+def test_table_writer_block_edges(rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    x[::7] = np.resize(SPECIAL, x[::7].size)
+    assert_writes_savetxt_bytes(("x", "y", "z"), [x, x[::-1], np.arange(rows) / 3.0])

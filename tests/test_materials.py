@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biphase1d.materials import (MaterialPair, PowerLaw, mixture_pressure,
-                                 mixture_viscosity, mu_eff, p_eff, relaxation_rhs,
-                                 relaxation_weights)
+from biphase1d.materials import (MaterialPair, PowerLaw, mixture_potential,
+                                 mixture_pressure, mixture_viscosity, mu_eff, p_eff,
+                                 relaxation_rhs, relaxation_weights)
 
 LAWS_53 = dict(law_plus=PowerLaw(K=1.0, gamma=1.0), law_minus=PowerLaw(K=1.0, gamma=2.0))
 
@@ -103,6 +103,14 @@ class TestMixture:
         assert np.allclose(p, p[0] + c * (p[-1] - p[0]), rtol=1e-14)
         mu = mixture_viscosity(c, mat)
         assert np.allclose(mu, mu[0] + c * (mu[-1] - mu[0]), rtol=1e-14)
+
+    def test_pure_cell_potential_ignores_the_absent_law(self):
+        # p_- = 1e308 rho^2 overflows: a pure + cell keeps its own 2 ln 2, not 0 * inf
+        mat = MaterialPair(law_plus=PowerLaw(K=1.0, gamma=1.0),
+                           law_minus=PowerLaw(K=1e308, gamma=2.0), mu_plus=0.1, mu_minus=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = mixture_potential([1.0, 0.0, 0.5], [2.0, 2.0, 2.0], mat)
+        assert got.tolist() == [2.0 * np.log(2.0), np.inf, np.inf]
 
     def test_color_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="color"):
