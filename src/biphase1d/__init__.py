@@ -14,9 +14,9 @@ from .diagnostics import (CoarseFields, DiagnosticsRecord, TwoPointReport,
 from .errors import ConfigError, SingularSystemError, SolverError, StepFailure
 from .macro import MacroState, init_macro_riemann, run_macro, step_macro
 from .materials import (WEIGHTING_CROSS, WEIGHTING_OWN, WEIGHTINGS,
-                        MaterialPair, PowerLaw, PressureLaw, homogenized,
-                        mixture_potential, mixture_pressure, mixture_viscosity,
-                        mu_eff, p_eff, relaxation_rhs, relaxation_weights)
+                        MaterialPair, PowerLaw, homogenized, mixture_potential,
+                        mixture_pressure, mixture_viscosity, mu_eff, p_eff,
+                        relaxation_rhs)
 from .meso import MesoState, init_meso_riemann, run_meso, step_meso
 from .stepping import (StaggeredGrid, StepOutcome, StepPolicy, assemble_momentum,
                        choose_dt, lagrangian_step, node_mass)
@@ -30,9 +30,8 @@ __all__ = [
     "ConfigError", "SingularSystemError", "SolverError", "StepFailure",
     "MacroState", "init_macro_riemann", "run_macro", "step_macro",
     "WEIGHTING_CROSS", "WEIGHTING_OWN", "WEIGHTINGS", "MaterialPair",
-    "PowerLaw", "PressureLaw", "homogenized", "mixture_potential",
-    "mixture_pressure", "mixture_viscosity", "mu_eff", "p_eff",
-    "relaxation_rhs", "relaxation_weights",
+    "PowerLaw", "homogenized", "mixture_potential", "mixture_pressure",
+    "mixture_viscosity", "mu_eff", "p_eff", "relaxation_rhs",
     "MesoState", "init_meso_riemann", "run_meso", "step_meso",
     "StaggeredGrid", "StepOutcome", "StepPolicy", "assemble_momentum",
     "choose_dt", "lagrangian_step", "node_mass",

@@ -138,8 +138,9 @@ def _build_config(raw):
         raise ConfigError(str(exc)) from exc
 
     output_dir = merged["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"key 'output_dir': expected a nonempty string, got {output_dir!r}")
+    if not isinstance(output_dir, str) or not output_dir or "\0" in output_dir:
+        raise ConfigError(f"key 'output_dir': expected a nonempty string without NUL "
+                          f"bytes, got {output_dir!r}")
 
     return RunConfig(scheme=scheme, cells=cells, t_end=t_end, mat=mat,
                      weighting=weighting, policy=policy, coarse_K=coarse_K,
@@ -167,7 +168,7 @@ def parse_config(source, overrides=None):
             # such as an overlong one, or a binary file is then not a config file
             try:
                 contents = Path(text).read_text()
-            except (OSError, UnicodeDecodeError):
+            except (OSError, ValueError):  # ValueError: a NUL byte, or not text
                 raise ConfigError(f"{text!r} is neither a preset "
                                   f"({', '.join(sorted(PRESETS))}), a config file, "
                                   "nor inline JSON") from None
@@ -188,6 +189,8 @@ def _load_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config: {exc.msg} at line {exc.lineno}") from exc
+    except RecursionError:
+        raise ConfigError("malformed config: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object of key/value pairs")
     return data
@@ -213,15 +216,14 @@ def _write_table(path, names, columns):
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_fields(state, path, columns=None):
+def write_fields(state, path, columns):
     """Write a state snapshot as a plain-text table.
 
-    Columns are the state's attributes named in ``columns`` (``rho`` when
-    none are given).  The velocity ``u`` is listed at the interfaces,
-    every other quantity at cell midpoints (both mapped onto the torus);
-    the requested columns must therefore all live at the same location.
+    Columns are the state's attributes named in ``columns``.  The velocity
+    ``u`` is listed at the interfaces, every other quantity at cell
+    midpoints (both mapped onto the torus); the requested columns must
+    therefore all live at the same location.
     """
-    columns = columns or ("rho",)
     on_nodes = {name == "u" for name in columns}
     if len(on_nodes) != 1:
         raise ValueError("cannot mix cell and node quantities in one file")
@@ -397,10 +399,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = parse_config(args.config, overrides={
+            _execute(parse_config(args.config, overrides={
                 "output_dir": args.out, "scheme": args.scheme,
-                "cells": args.cells, "weighting": args.weighting})
-            return run_experiment(config)
+                "cells": args.cells, "weighting": args.weighting}))
+            return 0
         cells_list = []
         for token in args.cells.split(","):
             try:

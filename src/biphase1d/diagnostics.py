@@ -82,7 +82,7 @@ def total_energy(state, mat):
     return kinetic, internal, state.dissipated, total
 
 
-def snapshot(state, mat, dt_used=0.0):
+def snapshot(state, mat, dt_used):
     kinetic, internal, dissipated, total = total_energy(state, mat)
     rho_mix = state.rho
     return DiagnosticsRecord(

@@ -75,7 +75,7 @@ def _phase_density(mass, fraction, dx, rho_old):
     return rho, int(np.count_nonzero(~ok & (mass > 0)))
 
 
-def step_macro(state, mat, weighting, policy, dt_limit=None):
+def step_macro(state, mat, weighting, policy, dt_limit):
     """One homogenized step.
 
     The cell masses ride the shared Lagrangian kernel with the effective
@@ -83,8 +83,9 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
     forward-Euler relaxation increment built from the *new* velocities
     and cell widths, is clamped to [0, 1] (counted), and the phase
     densities are recovered from the constant phase masses.  The dt is
-    predicted at the current velocities; an attempt whose increment
-    exceeds the stability bound is turned down and redone at half dt.
+    predicted at the current velocities and capped by dt_limit; an attempt
+    whose increment exceeds the stability bound is turned down and redone
+    at half dt.
     The phase densities do not change within a step, so each pressure
     law is evaluated once, and ``homogenized`` checks alpha and the phase
     pressures and forms the effective coefficients, the relaxation factor
@@ -103,9 +104,7 @@ def step_macro(state, mat, weighting, policy, dt_limit=None):
 
     bound = RELAX_ETA * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
     with np.errstate(divide="ignore"):
-        cap = float((bound / np.abs(rate(state.u, state.grid))).min())
-    if dt_limit is not None:
-        cap = min(cap, dt_limit)
+        cap = min(float((bound / np.abs(rate(state.u, state.grid))).min()), dt_limit)
 
     d_alpha = None
 
@@ -138,5 +137,5 @@ def run_macro(config):
     return run_scheme(init_macro_riemann(config.cells),
                       lambda state, dt_limit: step_macro(state, config.mat,
                                                          config.weighting, config.policy,
-                                                         dt_limit=dt_limit),
+                                                         dt_limit),
                       config)

@@ -6,7 +6,7 @@ functions broadcast over numpy arrays.  Each homogenized formula is
 written once, in ``homogenized``, on the shared denominator
 D = alpha*mu_- + (1-alpha)*mu_+: it checks its inputs once and evaluates
 them all, as the macro step does, and the public ``p_eff``, ``mu_eff``
-and ``relaxation_rhs`` are views of it.  ``relaxation_weights`` shares D.
+and ``relaxation_rhs`` are views of it.
 """
 
 from dataclasses import dataclass
@@ -18,23 +18,10 @@ WEIGHTING_OWN = "paper"
 WEIGHTINGS = (WEIGHTING_CROSS, WEIGHTING_OWN)
 
 
-class PressureLaw:
-    """Base for barotropic laws p = p(rho) with p(rho) >= 0, nondecreasing."""
-
-    def pressure(self, rho):
-        raise NotImplementedError
-
-    def potential(self, rho):
-        """Energy density rho * integral_1^rho p(s)/s^2 ds.
-
-        Accepts rho >= 0; the value at rho = 0 is the continuity limit 0.
-        """
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerLaw(PressureLaw):
-    """p(rho) = K * rho**gamma with K > 0, gamma >= 1."""
+class PowerLaw:
+    """Barotropic law p(rho) = K * rho**gamma with K > 0, gamma >= 1, so
+    p(rho) >= 0 and nondecreasing."""
 
     K: float = 1.0
     gamma: float = 1.0
@@ -52,6 +39,10 @@ class PowerLaw(PressureLaw):
         return self.K * rho**self.gamma
 
     def potential(self, rho):
+        """Energy density rho * integral_1^rho p(s)/s^2 ds.
+
+        Accepts rho >= 0; the value at rho = 0 is the continuity limit 0.
+        """
         rho = np.asarray(rho, dtype=float)
         if not (rho >= 0).all():
             raise ValueError("density must be >= 0")
@@ -67,8 +58,8 @@ class PowerLaw(PressureLaw):
 class MaterialPair:
     """The two phases: pressure laws and constant finite viscosities mu > 0."""
 
-    law_plus: PressureLaw
-    law_minus: PressureLaw
+    law_plus: PowerLaw
+    law_minus: PowerLaw
     mu_plus: float
     mu_minus: float
 
@@ -108,12 +99,6 @@ def mixture_potential(c, rho, mat):
     return np.where(c == 1.0, phi_plus, np.where(c == 0.0, phi_minus, mixed))
 
 
-def _viscosity_weight(alpha, one_minus, mat):
-    """D = alpha*mu_- + (1-alpha)*mu_+, the denominator every homogenized
-    coefficient shares; > 0 for alpha in [0, 1]."""
-    return alpha * mat.mu_minus + one_minus * mat.mu_plus
-
-
 def _check_phase_pressures(p_plus, p_minus):
     p_plus = np.asarray(p_plus, dtype=float)
     p_minus = np.asarray(p_minus, dtype=float)
@@ -137,7 +122,7 @@ def homogenized(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
         raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
     p_p, p_m = _check_phase_pressures(p_plus, p_minus)
     one_minus = 1.0 - alpha
-    denom = _viscosity_weight(alpha, one_minus, mat)
+    denom = alpha * mat.mu_minus + one_minus * mat.mu_plus  # D, > 0 on [0, 1]
     at_one, at_zero = alpha == 1.0, alpha == 0.0
 
     def pure_or(plus, minus, mixed):
@@ -182,19 +167,6 @@ def p_eff(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
     pressure is rejected.
     """
     return homogenized(alpha, p_plus, p_minus, mat, weighting)[0]
-
-
-def relaxation_weights(alpha, mat):
-    """Coefficients (a, b) splitting the one-sided strain rates.
-
-    Unique solution of 1 - a*mu_+ = b*alpha and 1 - a*mu_- = -b*(1-alpha):
-    a = 1/((1-alpha)*mu_+ + alpha*mu_-), b = (mu_- - mu_+) * a.
-    """
-    alpha = _check_fraction(alpha, "volume fraction")
-    denom = _viscosity_weight(alpha, 1.0 - alpha, mat)
-    a = 1.0 / denom
-    b = (mat.mu_minus - mat.mu_plus) / denom
-    return a, b
 
 
 def relaxation_rhs(alpha, p_plus, p_minus, du_dx, mat):

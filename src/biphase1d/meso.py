@@ -72,15 +72,15 @@ def init_meso_riemann(J, stride=1):
                      cell_mass=riemann_density(grid.midpoints) * grid.cell_dx, c=c)
 
 
-def step_meso(state, mat, policy, dt_limit=None):
+def step_meso(state, mat, policy, dt_limit):
     """Advance one step: mixture coefficients per cell, then the shared
-    Lagrangian kernel.  The color field and the cell masses are carried
-    over untouched."""
+    Lagrangian kernel, with dt capped by dt_limit.  The color field and
+    the cell masses are carried over untouched."""
     _check_purity(state.c)
     p_cells = mixture_pressure(state.c, state.rho, mat)
     mu_cells = mixture_viscosity(state.c, mat)
     out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
-                          policy, dt_limit=dt_limit)
+                          policy, dt_limit)
     return replace(state, grid=out.grid, u=out.u,
                    t=state.t + out.dt_used,
                    dissipated=state.dissipated + out.dissipation_increment)
@@ -94,22 +94,27 @@ def run_scheme(state, advance, config):
     step is clamped so the run lands on t_end exactly.  A SolverError
     leaves with the records taken so far and the time before the failed
     step in its diagnostics.
+
+    Overflow and invalid-value warnings are off for the run: every
+    non-finite value a step can make fails that step, and an overflowing
+    energy is recorded as inf.
     """
-    records = [diagnostics.snapshot(state, config.mat, dt_used=0.0)]
-    steps = 0
-    try:
-        while state.t < config.t_end:
-            t_before = state.t
-            state = advance(state, config.t_end - state.t)
-            if config.t_end - state.t <= 1e-12 * max(1.0, config.t_end):
-                state.t = config.t_end
-            steps += 1
-            if steps % config.cadence == 0 or state.t >= config.t_end:
-                records.append(diagnostics.snapshot(state, config.mat,
-                                                    dt_used=state.t - t_before))
-    except SolverError as failure:
-        failure.diagnostics.update(t=state.t, records=records)
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = [diagnostics.snapshot(state, config.mat, dt_used=0.0)]
+        steps = 0
+        try:
+            while state.t < config.t_end:
+                t_before = state.t
+                state = advance(state, config.t_end - state.t)
+                if config.t_end - state.t <= 1e-12 * max(1.0, config.t_end):
+                    state.t = config.t_end
+                steps += 1
+                if steps % config.cadence == 0 or state.t >= config.t_end:
+                    records.append(diagnostics.snapshot(state, config.mat,
+                                                        dt_used=state.t - t_before))
+        except SolverError as failure:
+            failure.diagnostics.update(t=state.t, records=records)
+            raise
     return state, records
 
 
@@ -117,5 +122,5 @@ def run_meso(config):
     """Run the sharp-interface scheme from the Riemann datum to config.t_end."""
     return run_scheme(init_meso_riemann(config.cells),
                       lambda state, dt_limit: step_meso(state, config.mat, config.policy,
-                                                        dt_limit=dt_limit),
+                                                        dt_limit),
                       config)

@@ -168,14 +168,14 @@ def choose_dt(grid, u_old, policy):
     return min(policy.dt_max, policy.cfl_theta * grid.cell_dx.min() / (jump + _CFL_EPS))
 
 
-def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit=None,
+def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit,
                     accept=None):
     """One step: the implicit momentum solve, then mesh motion; densities
     are mass / width, and cells keep their masses, so none is updated.
 
-    The dt candidate comes from choose_dt (optionally capped by dt_limit,
-    e.g. to land on an output time).  An attempt whose velocities would
-    invert a cell, or that ``accept(u_new, new_grid, dt)`` turns down,
+    The dt candidate comes from choose_dt, capped by dt_limit (np.inf for
+    none), e.g. to land on an output time.  An attempt whose velocities
+    would invert a cell, or that ``accept(u_new, new_grid, dt)`` turns down,
     halves dt and repeats the solve; both causes share the MAX_HALVINGS
     budget.  Cell pressures that are not all finite fail the step before
     any solve, as no dt can mend them.  A density of the accepted step
@@ -188,9 +188,7 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit=
     if not np.isfinite(p_cells).all():
         raise StepFailure("cell pressures are not all finite")
 
-    dt = choose_dt(grid, u_old, policy)
-    if dt_limit is not None:
-        dt = min(dt, dt_limit)
+    dt = min(choose_dt(grid, u_old, policy), dt_limit)
 
     for halvings in range(MAX_HALVINGS + 1):
         # the system stays unnamed so it dies at once: fewer live temporaries

@@ -121,18 +121,28 @@ def test_criterion_03_positivity(t1, t2):
 
 
 def test_criterion_04_relaxation_identities():
+    # the rate the macro step runs, k*(dp - (mu_+ - mu_-)*s) from homogenized,
+    # against alpha*(1-alpha)*(a*dp + b*s), with (a, b) solving the identities
+    # 1 - a*mu_+ = b*alpha and 1 - a*mu_- = -b*(1-alpha)
+    rng = np.random.default_rng(4)
     alphas = np.linspace(0.0, 1.0, 100)
     worst = 0.0
     for ratio in np.logspace(-2, 2, 100):
         mat = b.MaterialPair(b.PowerLaw(1.0, 1.0), b.PowerLaw(1.0, 2.0),
                              mu_plus=0.1, mu_minus=0.1 / ratio)
-        a, bb = b.relaxation_weights(alphas, mat)
-        r1 = np.abs((1.0 - a * mat.mu_plus) - bb * alphas)
-        r2 = np.abs((1.0 - a * mat.mu_minus) + bb * (1.0 - alphas))
-        scale = 1.0 + np.abs(bb)
-        worst = max(worst, np.max(r1 / scale), np.max(r2 / scale))
+        p_plus, p_minus = rng.uniform(0.0, 4.0, (2, alphas.size))
+        s = rng.uniform(-10.0, 10.0, alphas.size)
+        _, _, k, dp = b.homogenized(alphas, p_plus, p_minus, mat)
+        rate = k * (dp - (mat.mu_plus - mat.mu_minus) * s)
+        A = np.zeros((alphas.size, 2, 2))
+        A[:, :, 0] = mat.mu_plus, mat.mu_minus
+        A[:, 0, 1], A[:, 1, 1] = alphas, alphas - 1.0
+        a, bb = np.linalg.solve(A, np.ones((alphas.size, 2, 1)))[..., 0].T
+        w = alphas * (1.0 - alphas)
+        scale = 1.0 + w * (np.abs(a * dp) + np.abs(bb * s))
+        worst = max(worst, np.max(np.abs(rate - w * (a * dp + bb * s)) / scale))
     check(4, "relaxation-weight identities", worst <= IDENTITY_TOL,
-          f"max residual {worst:.2e} <= {IDENTITY_TOL} on 100x100 grid")
+          f"max scaled residual {worst:.2e} <= {IDENTITY_TOL} on 100x100 grid")
 
 
 def test_criterion_05_solver_oracle():

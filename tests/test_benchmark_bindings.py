@@ -11,6 +11,8 @@ import importlib
 import runpy
 from pathlib import Path
 
+import numpy as np
+
 from biphase1d.cli import parse_config
 from biphase1d.macro import init_macro_riemann, step_macro
 from biphase1d.meso import init_meso_riemann, step_meso
@@ -27,8 +29,9 @@ def test_every_bound_name_exists():
 
 def test_every_state_field_the_benchmark_reads_exists():
     config = parse_config("test2", {"cells": 16})
-    meso = step_meso(init_meso_riemann(16), config.mat, config.policy)
-    macro = step_macro(init_macro_riemann(16), config.mat, config.weighting, config.policy)
+    meso = step_meso(init_meso_riemann(16), config.mat, config.policy, dt_limit=np.inf)
+    macro = step_macro(init_macro_riemann(16), config.mat, config.weighting, config.policy,
+                       dt_limit=np.inf)
     read = {"meso": (meso, ("t", "grid", "c")),
             "macro": (macro, ("t", "grid", "alpha", "clamp_events", "guard_events"))}
     missing = [f"{scheme}.{name}" for scheme, (state, names) in read.items()

@@ -87,8 +87,9 @@ class TestParse:
             parse_config('{"cells": 32, "coarse_K": 32}')
 
     def test_nonsense_source_rejected(self):
-        with pytest.raises(ConfigError, match="neither"):
-            parse_config("test42")
+        for source in ("test42", "test1\0"):  # a NUL byte is no file name either
+            with pytest.raises(ConfigError, match="neither"):
+                parse_config(source)
 
 
 class TestWriters:
@@ -108,8 +109,8 @@ class TestWriters:
     def test_rewrite_is_byte_identical(self, tmp_path):
         s = init_meso_riemann(16)
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
-        write_fields(s, a)
-        write_fields(s, b)
+        write_fields(s, a, columns=("rho",))
+        write_fields(s, b, columns=("rho",))
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
 
@@ -307,15 +308,33 @@ def test_cells_above_the_ceiling_are_config_errors(args, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("below", [None, "sub"], ids=["is_a_file", "under_a_file"])
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("below", [None, "sub", "a\0b"],
+                         ids=["is_a_file", "under_a_file", "nul_byte"])
+@pytest.mark.parametrize("command", ["run", "sweep", "inline"])
 def test_uncreatable_output_dir_is_a_config_error(command, below, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("keep")
-    out = blocker / below if below else blocker
-    assert main([command, "test1", "--cells", "16", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: key 'output_dir': ")
+    out = str(blocker / below if below else blocker)
+    if command == "inline":
+        args = ["run", json.dumps({"preset": "test1", "cells": 16, "output_dir": out})]
+    else:
+        args = [command, "test1", "--cells", "16", "--out", out]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'output_dir': ") and err.count("\n") == 1
     assert blocker.read_text() == "keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["inline", "file"])
+def test_deeply_nested_json_is_a_config_error(as_file, tmp_path, capsys):
+    source = '{"a": ' + "[" * 100000
+    if as_file:
+        (tmp_path / "deep.json").write_text(source)
+        source = str(tmp_path / "deep.json")
+    assert main(["run", source, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: malformed config: nested too deeply\n"
+    assert not (tmp_path / "o").exists()
 
 
 # values whose text is easiest to get wrong: non-finite, signed zero, subnormal, huge

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biphase1d.materials import (MaterialPair, PowerLaw, mixture_potential,
+from biphase1d.materials import (MaterialPair, PowerLaw, homogenized, mixture_potential,
                                  mixture_pressure, mixture_viscosity, mu_eff, p_eff,
-                                 relaxation_rhs, relaxation_weights)
+                                 relaxation_rhs)
 
 LAWS_53 = dict(law_plus=PowerLaw(K=1.0, gamma=1.0), law_minus=PowerLaw(K=1.0, gamma=2.0))
 
@@ -23,6 +23,21 @@ def mat_unequal():
 def phase_pressures(mat, rho_plus, rho_minus):
     """p_+(rho_+) and p_-(rho_-): what p_eff and relaxation_rhs take."""
     return mat.law_plus.pressure(rho_plus), mat.law_minus.pressure(rho_minus)
+
+
+def rate_weights(alpha, mat):
+    """The weights (a, b) of the relaxation rate the scheme runs,
+    k*(dp - (mu_+ - mu_-)*s) = alpha*(1-alpha)*(a*dp + b*s), read off
+    ``homogenized``'s factor k; alpha must lie in (0, 1)."""
+    k = homogenized(alpha, 0.0, 0.0, mat)[2]
+    w = alpha * (1.0 - alpha)
+    return k / w, -k * (mat.mu_plus - mat.mu_minus) / w
+
+
+def solved_weights(alpha, mat):
+    """Oracle: (a, b) solving 1 - a*mu_+ = b*alpha and 1 - a*mu_- = -b*(1-alpha)."""
+    A = np.array([[mat.mu_plus, alpha], [mat.mu_minus, -(1.0 - alpha)]])
+    return np.linalg.solve(A, np.ones(2))
 
 
 def potential_by_quadrature(law, rho):
@@ -169,36 +184,34 @@ class TestEffectiveCoefficients:
 
 class TestRelaxation:
     def test_equal_viscosity_weights(self):
-        a, b = relaxation_weights(np.array(0.3), mat_equal())
+        a, b = rate_weights(np.array(0.3), mat_equal())
         assert np.isclose(a, 1.0 / 0.1, rtol=1e-14)
         assert b == 0.0
 
     def test_weights_match_direct_linear_solve(self):
-        # oracle: solve the 2x2 system for (a, b) directly
         mat = mat_unequal()
-        alpha = 0.5
-        A = np.array([[mat.mu_plus, alpha], [mat.mu_minus, -(1 - alpha)]])
-        a_ref, b_ref = np.linalg.solve(A, np.ones(2))
-        a, b = relaxation_weights(np.array(alpha), mat)
+        a_ref, b_ref = solved_weights(0.5, mat)
+        a, b = rate_weights(np.array(0.5), mat)
         assert np.isclose(a, a_ref, rtol=1e-13)
         assert np.isclose(b, b_ref, rtol=1e-13)
         assert np.isclose(a, 16.666666666666668, rtol=1e-14)
         assert np.isclose(b, -1.3333333333333333, rtol=1e-13)
 
     def test_identities_on_grid(self):
-        alpha, ratio = np.meshgrid(np.linspace(0, 1, 100),
+        # the weights are read off k / (alpha*(1-alpha)), so the grid is interior
+        alpha, ratio = np.meshgrid(np.linspace(0, 1, 102)[1:-1],
                                    np.logspace(-2, 2, 100))
         mu_plus = 0.1
         for r_row, a_row in zip(ratio, alpha):
             mat = MaterialPair(mu_plus=mu_plus, mu_minus=mu_plus / r_row[0], **LAWS_53)
-            a, b = relaxation_weights(a_row, mat)
+            a, b = rate_weights(a_row, mat)
             assert np.allclose(1.0 - a * mat.mu_plus, b * a_row,
                                rtol=1e-14, atol=1e-14)
             assert np.allclose(1.0 - a * mat.mu_minus, -b * (1.0 - a_row),
                                rtol=1e-14, atol=1e-14)
 
     def test_substitution_identity_at_reference_point(self):
-        a, b = relaxation_weights(np.array(0.5), mat_unequal())
+        a, b = rate_weights(np.array(0.5), mat_unequal())
         assert np.isclose(1.0 - a * 0.1, b * 0.5, rtol=1e-14)
         assert np.isclose(1.0 - a * 0.1, -2.0 / 3.0, rtol=1e-12)
 
@@ -226,7 +239,7 @@ class TestRelaxation:
             alpha = rng.uniform(0, 1)
             rho_p, rho_m = rng.uniform(0.05, 5, 2)
             du = rng.uniform(-10, 10)
-            a, b = relaxation_weights(np.array(alpha), mat)
+            a, b = solved_weights(alpha, mat)
             dp = mat.law_plus.pressure(rho_p) - mat.law_minus.pressure(rho_m)
             expected = alpha * (1 - alpha) * (a * dp + b * du)
             got = relaxation_rhs(np.array(alpha), *phase_pressures(mat, rho_p, rho_m), du,

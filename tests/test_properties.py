@@ -48,7 +48,7 @@ def test_step_conserves_cell_mass_and_length(seed, J, dt_max):
     with patch.object(stepping, "MAX_HALVINGS", 60):
         out = lagrangian_step(grid, rng.uniform(-1.0, 1.0, J), mass,
                               rng.uniform(0.0, 1.0, J), rng.uniform(0.0, 10.0, J),
-                              StepPolicy(dt_max=dt_max))
+                              StepPolicy(dt_max=dt_max), dt_limit=np.inf)
     assert np.array_equal(mass, kept)
     assert out.grid.length == 1.0
     assert abs(np.sum(out.grid.cell_dx) - 1.0) <= 1e-12
@@ -79,10 +79,11 @@ def test_rejections_halve_dt_within_one_budget(k, max_halvings):
         if k > max_halvings:
             with pytest.raises(StepFailure, match=f"step rejection persisted after "
                                                   f"{max_halvings} dt halvings"):
-                lagrangian_step(grid, u, mass, mu, p, policy, accept=reject_first_k)
+                lagrangian_step(grid, u, mass, mu, p, policy, dt_limit=np.inf,
+                                accept=reject_first_k)
             assert len(tried) == max_halvings + 1
             return
-        out = lagrangian_step(grid, u, mass, mu, p, policy, accept=reject_first_k)
+        out = lagrangian_step(grid, u, mass, mu, p, policy, dt_limit=np.inf, accept=reject_first_k)
     assert out.halvings == k
     assert out.dt_used == dt0 * 0.5**k
     assert tried == [dt0 * 0.5**i for i in range(k + 1)]
@@ -95,7 +96,7 @@ def test_inversions_and_rejections_share_the_budget():
     args = (grid, np.zeros(8), grid.cell_dx, np.zeros(8),
             np.where(np.arange(8) % 2 == 0, 100.0, 0.0), StepPolicy(dt_max=1.0))
     with patch.object(stepping, "MAX_HALVINGS", 60):
-        inversions = lagrangian_step(*args).halvings
+        inversions = lagrangian_step(*args, dt_limit=np.inf).halvings
     assert inversions > 0
 
     seen = []
@@ -105,14 +106,14 @@ def test_inversions_and_rejections_share_the_budget():
         return len(seen) > 1
 
     with patch.object(stepping, "MAX_HALVINGS", 60):
-        out = lagrangian_step(*args, accept=reject_once)
+        out = lagrangian_step(*args, dt_limit=np.inf, accept=reject_once)
     assert out.halvings == inversions + 1
     with (patch.object(stepping, "MAX_HALVINGS", inversions),
           pytest.raises(StepFailure, match=f"step rejection persisted after {inversions} ")):
-        lagrangian_step(*args, accept=lambda u_new, new_grid, dt: False)
+        lagrangian_step(*args, dt_limit=np.inf, accept=lambda u_new, new_grid, dt: False)
     with (patch.object(stepping, "MAX_HALVINGS", inversions - 1),
           pytest.raises(StepFailure, match=f"cell inversion persisted after {inversions - 1} ")):
-        lagrangian_step(*args, accept=lambda u_new, new_grid, dt: True)
+        lagrangian_step(*args, dt_limit=np.inf, accept=lambda u_new, new_grid, dt: True)
 
 
 @st.composite
@@ -259,8 +260,8 @@ def test_macro_on_pure_cells_is_the_meso_step(half_J, steps, gamma_plus, gamma_m
     macro = MacroState(grid=meso.grid, u=meso.u, alpha=c, mass_plus=c * m,
                        mass_minus=(1.0 - c) * m, rho_plus=rho, rho_minus=rho.copy())
     for _ in range(steps):
-        meso = step_meso(meso, mat, policy)
-        macro = step_macro(macro, mat, "cross", policy)
+        meso = step_meso(meso, mat, policy, dt_limit=np.inf)
+        macro = step_macro(macro, mat, "cross", policy, dt_limit=np.inf)
         assert same_bits(macro.grid.node_x, meso.grid.node_x)
         assert same_bits(macro.u, meso.u)
         assert same_bits(macro.rho, meso.rho)

@@ -220,7 +220,7 @@ class TestLagrangianStep:
     def test_equilibrium_fixed_point(self):
         g = StaggeredGrid.uniform(8)
         out = lagrangian_step(g, np.zeros(8), 1.5 * g.cell_dx, np.full(8, 0.1),
-                              np.full(8, 1.5), policy())
+                              np.full(8, 1.5), policy(), dt_limit=np.inf)
         assert np.array_equal(out.u, np.zeros(8))
         assert np.array_equal(out.grid.node_x, g.node_x)
         assert np.array_equal(out.grid.cell_dx, g.cell_dx)
@@ -230,7 +230,7 @@ class TestLagrangianStep:
         g = StaggeredGrid.uniform(8)
         u = np.full(8, 0.7)
         out = lagrangian_step(g, u, 2.0 * g.cell_dx, np.full(8, 0.1), np.full(8, 3.0),
-                              policy())
+                              policy(), dt_limit=np.inf)
         assert np.allclose(out.u, u, rtol=1e-14)
         assert np.allclose(out.grid.cell_dx, g.cell_dx, rtol=1e-12)
 
@@ -240,7 +240,8 @@ class TestLagrangianStep:
         mass = rng.uniform(0.2, 3.0, 32) * g.cell_dx
         kept = mass.copy()
         out = lagrangian_step(g, rng.normal(scale=0.2, size=32), mass,
-                              np.full(32, 0.1), rng.uniform(0.5, 4.0, 32), policy())
+                              np.full(32, 0.1), rng.uniform(0.5, 4.0, 32), policy(),
+                              dt_limit=np.inf)
         assert not np.array_equal(out.grid.cell_dx, g.cell_dx)
         assert np.array_equal(mass, kept)
         s = MesoState(grid=out.grid, u=out.u, cell_mass=mass, c=np.ones(32))
@@ -256,7 +257,8 @@ class TestLagrangianStep:
         p = mixture_pressure(state.c, state.rho, mat)
         mu = mixture_viscosity(state.c, mat)
         mass_before = node_mass(state.cell_mass)
-        out = lagrangian_step(state.grid, state.u, state.cell_mass, mu, p, policy())
+        out = lagrangian_step(state.grid, state.u, state.cell_mass, mu, p, policy(),
+                              dt_limit=np.inf)
         rho_after = state.cell_mass / out.grid.cell_dx
         mass_after = node_mass(rho_after * out.grid.cell_dx)
         assert not np.array_equal(out.grid.cell_dx, state.grid.cell_dx)
@@ -268,7 +270,7 @@ class TestLagrangianStep:
         mass = rng.uniform(0.2, 3.0, 64) * g.cell_dx
         u = rng.normal(scale=0.3, size=64)
         out = lagrangian_step(g, u, mass, np.full(64, 0.05), rng.uniform(0.5, 4.0, 64),
-                              policy())
+                              policy(), dt_limit=np.inf)
         rho_after = mass / out.grid.cell_dx
         assert np.isclose(np.sum(rho_after * out.grid.cell_dx), np.sum(mass), rtol=1e-13)
         assert np.isclose(np.sum(out.grid.cell_dx), 1.0, atol=1e-12)
@@ -287,11 +289,12 @@ class TestLagrangianStep:
         p = np.where(np.arange(8) % 2 == 0, 100.0, 0.0)
         with patch.object(stepping, "MAX_HALVINGS", 60):
             out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
-                                  policy(dt_max=1.0))
+                                  policy(dt_max=1.0), dt_limit=np.inf)
         assert out.halvings > 0
         with (patch.object(stepping, "MAX_HALVINGS", 1),
               pytest.raises(StepFailure, match="cell inversion persisted after 1 ") as info):
-            lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p, policy(dt_max=1.0))
+            lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p, policy(dt_max=1.0),
+                            dt_limit=np.inf)
         # dt = 1 and 1/2 both invert; the failure reports the last of them
         assert info.value.diagnostics["dt"] == 0.5
 
@@ -306,7 +309,7 @@ class TestLagrangianStep:
         with (patch.object(stepping, "MAX_HALVINGS", 3),
               pytest.raises(StepFailure, match="step rejection persisted after 3 ") as info):
             lagrangian_step(g, np.zeros(8), g.cell_dx, np.full(8, 0.1), np.ones(8),
-                            policy(dt_max=1e-2), accept=refuse)
+                            policy(dt_max=1e-2), dt_limit=np.inf, accept=refuse)
         assert tried == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
         assert info.value.diagnostics["dt"] == 1.25e-3
 
@@ -323,7 +326,7 @@ class TestLagrangianStep:
         dt = choose_dt(g, u, args[-1])
         with pytest.raises(StepFailure,
                            match=r"^density left the sane range \[0.0001, 10000.0\]$") as info:
-            lagrangian_step(*args)
+            lagrangian_step(*args, dt_limit=np.inf)
         assert info.value.diagnostics["dt"] == dt
         half = lagrangian_step(*args, dt_limit=0.5 * dt)
         assert half.halvings == 0
@@ -338,4 +341,5 @@ class TestLagrangianStep:
         assemble_momentum(g, np.zeros(4), np.ones(4), np.ones(4),
                           0.5 * (mass + np.roll(mass, -1)), dt=0.1)
         with pytest.raises(ValueError, match="cell masses must be > 0"):
-            lagrangian_step(g, np.zeros(4), mass, np.ones(4), np.ones(4), policy())
+            lagrangian_step(g, np.zeros(4), mass, np.ones(4), np.ones(4), policy(),
+                            dt_limit=np.inf)
