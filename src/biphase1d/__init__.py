@@ -18,8 +18,8 @@ from .materials import (WEIGHTING_CROSS, WEIGHTING_OWN, WEIGHTINGS,
                         mixture_pressure, mixture_viscosity, mu_eff, p_eff,
                         relaxation_rhs)
 from .meso import MesoState, init_meso_riemann, run_meso, step_meso
-from .stepping import (StaggeredGrid, StepOutcome, StepPolicy, assemble_momentum,
-                       choose_dt, lagrangian_step, node_mass)
+from .stepping import (StaggeredGrid, StepOutcome, assemble_momentum, choose_dt,
+                       lagrangian_step, node_mass)
 from .tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
 from .cli import PRESETS, RunConfig, parse_config, run_experiment, run_sweep
 
@@ -33,7 +33,7 @@ __all__ = [
     "PowerLaw", "homogenized", "mixture_potential", "mixture_pressure",
     "mixture_viscosity", "mu_eff", "p_eff", "relaxation_rhs",
     "MesoState", "init_meso_riemann", "run_meso", "step_meso",
-    "StaggeredGrid", "StepOutcome", "StepPolicy", "assemble_momentum",
+    "StaggeredGrid", "StepOutcome", "assemble_momentum",
     "choose_dt", "lagrangian_step", "node_mass",
     "CyclicTridiagonalSystem", "solve_cyclic_tridiagonal",
     "PRESETS", "RunConfig", "parse_config", "run_experiment", "run_sweep",

@@ -20,7 +20,6 @@ from .errors import ConfigError, SolverError
 from .macro import run_macro
 from .materials import WEIGHTINGS, MaterialPair, PowerLaw
 from .meso import run_meso
-from .stepping import StepPolicy
 
 _DEFAULTS = {
     "scheme": "both",
@@ -33,7 +32,6 @@ _DEFAULTS = {
     "K_plus": 1.0,
     "K_minus": 1.0,
     "weighting": "cross",
-    "cfl_theta": 0.4,
     "dt_max": 1e-4,
     "coarse_K": None,  # derived: ~20 fine cells per window, capped at 50
     "output_dir": "biphase1d-out",
@@ -60,7 +58,7 @@ class RunConfig:
     t_end: float
     mat: MaterialPair
     weighting: str
-    policy: StepPolicy
+    dt_max: float
     coarse_K: int
     output_dir: str
     cadence: int
@@ -132,8 +130,7 @@ def _build_config(raw):
             mu_plus=_as_float(merged, "mu_plus", 0.0, strict=True),
             mu_minus=_as_float(merged, "mu_minus", 0.0, strict=True),
         )
-        policy = StepPolicy(cfl_theta=_as_float(merged, "cfl_theta"),
-                            dt_max=_as_float(merged, "dt_max", 0.0, strict=True))
+        dt_max = _as_float(merged, "dt_max", 0.0, strict=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -143,7 +140,7 @@ def _build_config(raw):
                           f"bytes, got {output_dir!r}")
 
     return RunConfig(scheme=scheme, cells=cells, t_end=t_end, mat=mat,
-                     weighting=weighting, policy=policy, coarse_K=coarse_K,
+                     weighting=weighting, dt_max=dt_max, coarse_K=coarse_K,
                      output_dir=output_dir, cadence=cadence, raw=dict(merged))
 
 

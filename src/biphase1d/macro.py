@@ -75,7 +75,7 @@ def _phase_density(mass, fraction, dx, rho_old):
     return rho, int(np.count_nonzero(~ok & (mass > 0)))
 
 
-def step_macro(state, mat, weighting, policy, dt_limit):
+def step_macro(state, mat, weighting, dt_limit):
     """One homogenized step.
 
     The cell masses ride the shared Lagrangian kernel with the effective
@@ -83,9 +83,10 @@ def step_macro(state, mat, weighting, policy, dt_limit):
     forward-Euler relaxation increment built from the *new* velocities
     and cell widths, is clamped to [0, 1] (counted), and the phase
     densities are recovered from the constant phase masses.  The dt is
-    predicted at the current velocities and capped by dt_limit; an attempt
-    whose increment exceeds the stability bound is turned down and redone
-    at half dt.
+    predicted at the current velocities and capped by dt_limit and the
+    relaxation bound (an infinite dt_limit passes where the bound is
+    finite); an attempt whose increment exceeds the bound is turned down
+    and redone at half dt.
     The phase densities do not change within a step, so each pressure
     law is evaluated once, and ``homogenized`` checks alpha and the phase
     pressures and forms the effective coefficients, the relaxation factor
@@ -104,7 +105,8 @@ def step_macro(state, mat, weighting, policy, dt_limit):
 
     bound = RELAX_ETA * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
     with np.errstate(divide="ignore"):
-        cap = min(float((bound / np.abs(rate(state.u, state.grid))).min()), dt_limit)
+        # dt_limit first: a NaN one then reaches the kernel's check
+        cap = min(dt_limit, float((bound / np.abs(rate(state.u, state.grid))).min()))
 
     d_alpha = None
 
@@ -114,7 +116,7 @@ def step_macro(state, mat, weighting, policy, dt_limit):
         return bool((np.abs(d_alpha) <= bound).all())
 
     out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
-                          policy, dt_limit=cap, accept=increment_within_bound)
+                          dt_limit=cap, accept=increment_within_bound)
 
     alpha_raw = state.alpha + d_alpha
     alpha_new = alpha_raw.clip(0.0, 1.0)
@@ -136,6 +138,5 @@ def run_macro(config):
     """Run the homogenized scheme from the Riemann datum to config.t_end."""
     return run_scheme(init_macro_riemann(config.cells),
                       lambda state, dt_limit: step_macro(state, config.mat,
-                                                         config.weighting, config.policy,
-                                                         dt_limit),
+                                                         config.weighting, dt_limit),
                       config)

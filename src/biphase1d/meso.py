@@ -72,7 +72,7 @@ def init_meso_riemann(J, stride=1):
                      cell_mass=riemann_density(grid.midpoints) * grid.cell_dx, c=c)
 
 
-def step_meso(state, mat, policy, dt_limit):
+def step_meso(state, mat, dt_limit):
     """Advance one step: mixture coefficients per cell, then the shared
     Lagrangian kernel, with dt capped by dt_limit.  The color field and
     the cell masses are carried over untouched."""
@@ -80,14 +80,15 @@ def step_meso(state, mat, policy, dt_limit):
     p_cells = mixture_pressure(state.c, state.rho, mat)
     mu_cells = mixture_viscosity(state.c, mat)
     out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
-                          policy, dt_limit)
+                          dt_limit)
     return replace(state, grid=out.grid, u=out.u,
                    t=state.t + out.dt_used,
                    dissipated=state.dissipated + out.dissipation_increment)
 
 
 def run_scheme(state, advance, config):
-    """Advance ``state`` to config.t_end with ``advance(state, dt_limit)``.
+    """Advance ``state`` to config.t_end with ``advance(state, dt_limit)``,
+    where dt_limit is config.dt_max or the time left, whichever is less.
 
     Returns (final state, diagnostics records).  Records are emitted at
     the start, every config.cadence accepted steps, and at t_end; the last
@@ -105,7 +106,7 @@ def run_scheme(state, advance, config):
         try:
             while state.t < config.t_end:
                 t_before = state.t
-                state = advance(state, config.t_end - state.t)
+                state = advance(state, min(config.dt_max, config.t_end - state.t))
                 if config.t_end - state.t <= 1e-12 * max(1.0, config.t_end):
                     state.t = config.t_end
                 steps += 1
@@ -121,6 +122,5 @@ def run_scheme(state, advance, config):
 def run_meso(config):
     """Run the sharp-interface scheme from the Riemann datum to config.t_end."""
     return run_scheme(init_meso_riemann(config.cells),
-                      lambda state, dt_limit: step_meso(state, config.mat, config.policy,
-                                                        dt_limit),
+                      lambda state, dt_limit: step_meso(state, config.mat, dt_limit),
                       config)

@@ -25,6 +25,8 @@ RHO_SANE_MAX = 1e4
 # the one dt-halving budget of a step, shared by cell inversions and the
 # macro scheme's relaxation rejections
 MAX_HALVINGS = 40
+# the fraction of the smallest cell a node may sweep per step
+CFL_THETA = 0.4
 
 
 # Periodic neighbour shifts by slices: bit for bit the arrays that numpy's
@@ -92,25 +94,6 @@ class StaggeredGrid:
 
 
 @dataclass
-class StepPolicy:
-    """Time-step control knobs.
-
-    cfl_theta bounds the fraction of the smallest cell a node may sweep
-    per step (predicted from the current velocity jumps); dt_max is an
-    absolute cap.
-    """
-
-    cfl_theta: float = 0.4
-    dt_max: float = 1e-4
-
-    def __post_init__(self):
-        if not 0 < self.cfl_theta < 1:
-            raise ValueError("cfl_theta must lie in (0, 1)")
-        if not 0 < self.dt_max < np.inf:
-            raise ValueError("dt_max must be > 0 and finite")
-
-
-@dataclass
 class StepOutcome:
     dt_used: float
     grid: StaggeredGrid
@@ -157,38 +140,40 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
     return CyclicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
 
-def choose_dt(grid, u_old, policy):
+def choose_dt(grid, u_old):
     """CFL-style predictor: limit mesh deformation per step.
 
     The width of cell j changes at rate |u_j - u_{j-1}|, so the candidate
-    keeps every width change below cfl_theta times the smallest width.
+    keeps every width change below CFL_THETA times the smallest width.
     """
     u = np.asarray(u_old, dtype=float)
     jump = np.abs(back_difference(u)).max()
-    return min(policy.dt_max, policy.cfl_theta * grid.cell_dx.min() / (jump + _CFL_EPS))
+    return CFL_THETA * grid.cell_dx.min() / (jump + _CFL_EPS)
 
 
-def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, policy, dt_limit,
-                    accept=None):
+def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=None):
     """One step: the implicit momentum solve, then mesh motion; densities
     are mass / width, and cells keep their masses, so none is updated.
 
-    The dt candidate comes from choose_dt, capped by dt_limit (np.inf for
-    none), e.g. to land on an output time.  An attempt whose velocities
-    would invert a cell, or that ``accept(u_new, new_grid, dt)`` turns down,
-    halves dt and repeats the solve; both causes share the MAX_HALVINGS
-    budget.  Cell pressures that are not all finite fail the step before
-    any solve, as no dt can mend them.  A density of the accepted step
-    outside [RHO_SANE_MIN, RHO_SANE_MAX] means the run has blown up: it
-    fails the step at once, with no retry.  The returned dissipation
-    increment is dt * sum(mu (du/dx)^2 dx) evaluated with the new
-    velocities on the pre-step mesh, matching the implicit discretization.
+    The dt candidate comes from choose_dt, capped by dt_limit (> 0 and
+    finite).  An attempt whose velocities would invert a cell, or that
+    ``accept(u_new, new_grid, dt)`` turns down, halves dt and repeats the
+    solve; both causes share the MAX_HALVINGS budget.  Cell pressures that
+    are not all finite fail the step before any solve, as no dt can mend
+    them, and before the dt_limit check, as they can drive a caller's cap
+    to 0.  A density of the accepted step outside [RHO_SANE_MIN,
+    RHO_SANE_MAX] means the run has blown up: it fails the step at once,
+    with no retry.  The returned dissipation increment is
+    dt * sum(mu (du/dx)^2 dx) evaluated with the new velocities on the
+    pre-step mesh, matching the implicit discretization.
     """
     m_node = node_mass(cell_mass)
     if not np.isfinite(p_cells).all():
         raise StepFailure("cell pressures are not all finite")
+    if not 0 < dt_limit < np.inf:
+        raise ValueError("dt_limit must be > 0 and finite")
 
-    dt = min(choose_dt(grid, u_old, policy), dt_limit)
+    dt = min(choose_dt(grid, u_old), dt_limit)
 
     for halvings in range(MAX_HALVINGS + 1):
         # the system stays unnamed so it dies at once: fewer live temporaries

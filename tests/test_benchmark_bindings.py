@@ -4,14 +4,13 @@
 ``SPAN_BINDINGS``; a package change that drops one of them would stop the
 benchmark.  The probes file is run from its source text, never imported,
 so no bytecode is written next to it.  ``perfbench/workloads.py`` and
-``perfbench/worker.py`` also read fields of the states the steps return.
+``perfbench/worker.py`` also read fields of the states the steps return,
+and of the RunConfig that ``parse_config`` builds.
 """
 
 import importlib
 import runpy
 from pathlib import Path
-
-import numpy as np
 
 from biphase1d.cli import parse_config
 from biphase1d.macro import init_macro_riemann, step_macro
@@ -29,11 +28,20 @@ def test_every_bound_name_exists():
 
 def test_every_state_field_the_benchmark_reads_exists():
     config = parse_config("test2", {"cells": 16})
-    meso = step_meso(init_meso_riemann(16), config.mat, config.policy, dt_limit=np.inf)
-    macro = step_macro(init_macro_riemann(16), config.mat, config.weighting, config.policy,
-                       dt_limit=np.inf)
+    meso = step_meso(init_meso_riemann(16), config.mat, dt_limit=config.dt_max)
+    macro = step_macro(init_macro_riemann(16), config.mat, config.weighting,
+                       dt_limit=config.dt_max)
     read = {"meso": (meso, ("t", "grid", "c")),
             "macro": (macro, ("t", "grid", "alpha", "clamp_events", "guard_events"))}
     missing = [f"{scheme}.{name}" for scheme, (state, names) in read.items()
                for name in names if not hasattr(state, name)]
     assert not missing, f"gone from the step states: {missing}"
+
+
+def test_every_config_field_the_benchmark_reads_exists():
+    config = parse_config("test2")
+    read = {"config": (config, ("scheme", "cells", "t_end", "output_dir", "mat")),
+            "config.mat": (config.mat, ("mu_minus",))}
+    missing = [f"{owner}.{name}" for owner, (obj, names) in read.items()
+               for name in names if not hasattr(obj, name)]
+    assert not missing, f"gone from the run config: {missing}"

@@ -27,7 +27,7 @@ class TestPresets:
         assert cfg.mat.law_plus.gamma == 1.0 and cfg.mat.law_plus.K == 1.0
         assert cfg.mat.law_minus.gamma == 2.0 and cfg.mat.law_minus.K == 1.0
         assert cfg.weighting == "cross" and cfg.scheme == "both"
-        assert cfg.policy.dt_max == 1e-4 and cfg.coarse_K == 50
+        assert cfg.dt_max == 1e-4 and cfg.coarse_K == 50
 
     def test_test2_golden_parameters(self):
         cfg = parse_config("test2")
@@ -63,6 +63,9 @@ class TestParse:
         # the relaxation bound is the constant macro.RELAX_ETA, not a key
         with pytest.raises(ConfigError, match="unknown config key 'relax_eta'"):
             parse_config('{"relax_eta": 0.5}')
+        # nor is the CFL fraction, the constant stepping.CFL_THETA
+        with pytest.raises(ConfigError, match="unknown config key 'cfl_theta'"):
+            parse_config('{"cfl_theta": 0.4}')
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -181,6 +184,7 @@ class TestRunExperiment:
                      "comparison_windows.dat", "comparison_report.txt"):
             assert (out / name).is_file(), name
         assert not (out / "FAILED").exists()
+        assert "cfl_theta" not in json.loads((out / "config.json").read_text())
 
     def test_deterministic_outputs(self, tmp_path):
         for sub in ("a", "b"):

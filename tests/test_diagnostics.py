@@ -12,7 +12,7 @@ from biphase1d.diagnostics import (CoarseFields, coarse_grain, compare_fields,
                                    young_moment)
 from biphase1d.materials import MaterialPair, PowerLaw
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
-from biphase1d.stepping import StaggeredGrid, StepPolicy
+from biphase1d.stepping import StaggeredGrid
 
 MAT1 = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.1)
 
@@ -38,7 +38,7 @@ class TestMassAndEnergy:
     def test_mass_unchanged_by_step(self):
         s = init_meso_riemann(64)
         before = total_mass(s)
-        s = step_meso(s, MAT1, StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+        s = step_meso(s, MAT1, dt_limit=1e-4)
         assert np.isclose(total_mass(s), before, rtol=1e-13)
 
     def test_rest_unit_density_has_zero_energy(self):
@@ -63,7 +63,7 @@ class TestMassAndEnergy:
     def test_kinetic_energy_nonnegative(self):
         s = init_meso_riemann(64)
         for _ in range(3):
-            s = step_meso(s, MAT1, StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+            s = step_meso(s, MAT1, dt_limit=1e-4)
             kin, _, _, _ = total_energy(s, MAT1)
             assert kin >= 0.0
 
@@ -111,7 +111,7 @@ class TestCoarseGrain:
     def test_window_mass_partition(self):
         s = init_meso_riemann(200)
         for _ in range(5):
-            s = step_meso(s, MAT1, StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+            s = step_meso(s, MAT1, dt_limit=1e-4)
         cf = coarse_grain(s, 7)
         assert np.isclose(np.sum(cf.rho_hat * cf.window_len), total_mass(s),
                           rtol=1e-12)
@@ -198,11 +198,11 @@ class TestCompare:
 class TestYoungMoments:
     def test_normalization(self):
         s = init_meso_riemann(100)
-        pol = StepPolicy(dt_max=1e-4)
+        dt_max = 1e-4
         one = lambda x, xi, eta: np.ones_like(x)
         for _ in range(4):
             assert np.isclose(young_moment(s, one), 1.0, atol=1e-13)
-            s = step_meso(s, MAT1, pol, dt_limit=np.inf)
+            s = step_meso(s, MAT1, dt_limit=dt_max)
 
     def test_color_moment_is_volume_fraction(self):
         s = init_meso_riemann(100)
@@ -219,7 +219,7 @@ class TestYoungMoments:
         mat = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.02)
         s = init_macro_riemann(40)
         for _ in range(5):
-            s = step_macro(s, mat, "cross", StepPolicy(dt_max=1e-3), dt_limit=np.inf)
+            s = step_macro(s, mat, "cross", dt_limit=1e-3)
         assert np.ptp(s.alpha) > 0
         b = lambda x, rho, alpha: x * rho * alpha + alpha**2
         x = s.grid.midpoints % s.grid.length
@@ -229,7 +229,7 @@ class TestYoungMoments:
     def test_support_stays_in_box(self):
         from biphase1d.meso import run_meso
         cfg = SimpleNamespace(cells=64, t_end=0.02, mat=MAT1,
-                              policy=StepPolicy(dt_max=1e-4), cadence=10)
+                              dt_max=1e-4, cadence=10)
         state, records = run_meso(cfg)
         assert all(r.rho_min > 0 for r in records)
         assert np.all((state.c == 0) | (state.c == 1))

@@ -10,7 +10,7 @@ from biphase1d.diagnostics import total_mass
 from biphase1d.macro import RELAX_ETA, MacroState, init_macro_riemann, run_macro, step_macro
 from biphase1d.materials import MaterialPair, PowerLaw
 from biphase1d.meso import MesoState, init_meso_riemann, riemann_density, step_meso
-from biphase1d.stepping import StaggeredGrid, StepPolicy
+from biphase1d.stepping import StaggeredGrid
 
 MAT1 = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.1)
 MAT2 = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.02)
@@ -19,7 +19,7 @@ SAME_LAWS = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 1.0), 0.1, 0.1)
 
 def config(cells=64, t_end=0.01, mat=MAT1, weighting="cross", dt_max=1e-4, cadence=10):
     return SimpleNamespace(cells=cells, t_end=t_end, mat=mat, weighting=weighting,
-                           policy=StepPolicy(dt_max=dt_max), cadence=cadence)
+                           dt_max=dt_max, cadence=cadence)
 
 
 def uniform_state(J, alpha, rho_p, rho_m):
@@ -54,7 +54,7 @@ class TestStep:
         # identically zero even though the mixture moves
         s = init_macro_riemann(32)
         mat = SAME_LAWS
-        s2 = step_macro(s, mat, "cross", StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+        s2 = step_macro(s, mat, "cross", dt_limit=1e-4)
         assert np.array_equal(s2.alpha, s.alpha)
         assert np.any(s2.u != 0)  # the Riemann datum does drive motion
 
@@ -62,13 +62,13 @@ class TestStep:
         # alpha = 1/2, rho_pm = 2, laws x and x^2, mu = 0.1: d(alpha)/dt = -5
         s = uniform_state(16, 0.5, 2.0, 2.0)
         dt = 1e-4
-        s2 = step_macro(s, MAT1, "cross", StepPolicy(dt_max=dt), dt_limit=np.inf)
+        s2 = step_macro(s, MAT1, "cross", dt_limit=dt)
         assert np.allclose(s2.alpha, 0.5 - 5.0 * dt, rtol=1e-14)
         assert np.array_equal(s2.u, np.zeros(16))
 
     def test_phase_masses_are_lagrangian_constants(self):
         s = init_macro_riemann(64)
-        s2 = step_macro(s, MAT2, "cross", StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+        s2 = step_macro(s, MAT2, "cross", dt_limit=1e-4)
         assert np.array_equal(s2.mass_plus, s.mass_plus)
         assert np.array_equal(s2.mass_minus, s.mass_minus)
         assert np.isclose(total_mass(s2), total_mass(s), rtol=1e-13)
@@ -76,10 +76,10 @@ class TestStep:
     def test_equal_viscosity_update_reduces_to_simple_law(self):
         s = init_macro_riemann(32)
         # roughen fields
-        s = step_macro(s, MAT1, "cross", StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+        s = step_macro(s, MAT1, "cross", dt_limit=1e-4)
         p_diff = (MAT1.law_plus.pressure(s.rho_plus)
                   - MAT1.law_minus.pressure(s.rho_minus))
-        s2 = step_macro(s, MAT1, "cross", StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+        s2 = step_macro(s, MAT1, "cross", dt_limit=1e-4)
         dt = s2.t - s.t
         expected = s.alpha + dt * s.alpha * (1 - s.alpha) * p_diff / 0.1
         assert np.allclose(s2.alpha, expected, rtol=1e-14, atol=1e-16)
@@ -87,7 +87,7 @@ class TestStep:
     def test_mixture_identity(self):
         s = init_macro_riemann(64)
         for _ in range(5):
-            s = step_macro(s, MAT2, "cross", StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+            s = step_macro(s, MAT2, "cross", dt_limit=1e-4)
         mix = s.alpha * s.rho_plus + (1 - s.alpha) * s.rho_minus
         assert np.allclose(mix, s.rho, rtol=1e-12)
 
@@ -97,7 +97,7 @@ class TestStep:
         # frozen (counted) because its mass is still positive
         s = uniform_state(8, 1.0 - 1e-7, 50.5, 0.5)
         rho_minus_before = s.rho_minus.copy()
-        s2 = step_macro(s, MAT1, "cross", StepPolicy(dt_max=0.01), dt_limit=np.inf)
+        s2 = step_macro(s, MAT1, "cross", dt_limit=0.01)
         assert np.all(s2.alpha == 1.0)
         assert s2.clamp_events == 8
         assert s2.guard_events == 8
@@ -107,8 +107,8 @@ class TestStep:
         # a stiff pressure difference must shrink dt below dt_max so the
         # increment respects the stability bound
         s = uniform_state(8, 0.01, 80.0, 0.1)
-        pol = StepPolicy(dt_max=0.05)
-        s2 = step_macro(s, MAT1, "cross", pol, dt_limit=np.inf)
+        dt_max = 0.05
+        s2 = step_macro(s, MAT1, "cross", dt_limit=dt_max)
         dt = s2.t - s.t
         assert dt < 0.05
         bound = RELAX_ETA * np.minimum(s.alpha, 1 - s.alpha) + 1e-6
@@ -153,8 +153,7 @@ class TestPressureEvaluations:
             return kernel(*args, accept=counted_accept, **kwargs)
 
         monkeypatch.setattr(macro, "lagrangian_step", watched)
-        step_macro(init_macro_riemann(40), counting, "cross", StepPolicy(dt_max=dt_max),
-                   dt_limit=np.inf)
+        step_macro(init_macro_riemann(40), counting, "cross", dt_limit=dt_max)
         return counting.law_plus.calls, counting.law_minus.calls, sum(refusals)
 
     def test_one_evaluation_per_law(self, monkeypatch):
@@ -187,10 +186,10 @@ class TestPurePhaseConsistency:
                            mass_plus=rho0 * grid.cell_dx,
                            mass_minus=np.zeros(J),
                            rho_plus=rho0.copy(), rho_minus=np.zeros(J))
-        pol = StepPolicy(dt_max=1e-4)
+        dt_max = 1e-4
         for _ in range(20):
-            meso = step_meso(meso, MAT2, pol, dt_limit=np.inf)
-            macro = step_macro(macro, MAT2, "cross", pol, dt_limit=np.inf)
+            meso = step_meso(meso, MAT2, dt_limit=dt_max)
+            macro = step_macro(macro, MAT2, "cross", dt_limit=dt_max)
             assert np.isclose(macro.t, meso.t, rtol=1e-14)
             assert np.allclose(macro.grid.node_x, meso.grid.node_x, atol=1e-10)
             assert np.allclose(macro.u, meso.u, atol=1e-10)

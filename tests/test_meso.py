@@ -8,7 +8,7 @@ import pytest
 from biphase1d.diagnostics import coarse_grain, total_mass
 from biphase1d.materials import MaterialPair, PowerLaw
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
-from biphase1d.stepping import StaggeredGrid, StepPolicy
+from biphase1d.stepping import StaggeredGrid
 
 MAT1 = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.1)
 MAT2 = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.02)
@@ -16,7 +16,7 @@ MAT2 = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.02)
 
 def config(cells=64, t_end=0.01, mat=MAT1, dt_max=1e-4, cadence=10):
     return SimpleNamespace(cells=cells, t_end=t_end, mat=mat,
-                           policy=StepPolicy(dt_max=dt_max), cadence=cadence)
+                           dt_max=dt_max, cadence=cadence)
 
 
 class TestInit:
@@ -55,7 +55,7 @@ class TestStep:
     def test_color_copied_bit_exactly(self):
         s = init_meso_riemann(8)
         c_before = s.c.copy()
-        s2 = step_meso(s, MAT1, StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+        s2 = step_meso(s, MAT1, dt_limit=1e-4)
         assert np.array_equal(s2.c, c_before)
         assert s2.c is s.c  # untouched, not merely equal
 
@@ -63,12 +63,12 @@ class TestStep:
         s = init_meso_riemann(8)
         s.c = s.c * 0.5 + 0.25
         with pytest.raises(ValueError, match="color"):
-            step_meso(s, MAT1, StepPolicy(dt_max=1e-4), dt_limit=np.inf)
+            step_meso(s, MAT1, dt_limit=1e-4)
 
     def test_single_phase_uniform_is_fixed_point(self):
         grid = StaggeredGrid.uniform(8)
         s = MesoState(grid=grid, u=np.zeros(8), cell_mass=2.0 * grid.cell_dx, c=np.ones(8))
-        s2 = step_meso(s, MAT1, StepPolicy(dt_max=1e-3), dt_limit=np.inf)
+        s2 = step_meso(s, MAT1, dt_limit=1e-3)
         assert np.array_equal(s2.u, s.u)
         assert np.array_equal(s2.rho, s.rho)
         assert np.array_equal(s2.grid.node_x, grid.node_x)
@@ -78,9 +78,9 @@ class TestStep:
         # the high-pressure middle expands: leftward flow at x ~ 1/4,
         # rightward at x ~ 3/4, nothing deep inside the plateaus
         s = init_meso_riemann(1000)
-        pol = StepPolicy(dt_max=1e-4)
+        dt_max = 1e-4
         for _ in range(20):
-            s = step_meso(s, MAT1, pol, dt_limit=np.inf)
+            s = step_meso(s, MAT1, dt_limit=dt_max)
         cf = coarse_grain(s, 20)
         near_left = np.argmin(np.abs(cf.centers - 0.25))
         near_right = np.argmin(np.abs(cf.centers - 0.75))
@@ -136,11 +136,11 @@ def test_reversal_symmetry():
     s = MesoState(grid=grid, u=rng.normal(scale=0.1, size=J),
                   cell_mass=rng.uniform(0.3, 2.5, J) * grid.cell_dx,
                   c=np.where(np.arange(J) % 2 == 0, 1.0, 0.0))
-    pol = StepPolicy(dt_max=1e-3)
+    dt_max = 1e-3
     a, b = s, mirror(s)
     for _ in range(5):
-        a = step_meso(a, MAT2, pol, dt_limit=np.inf)
-        b = step_meso(b, MAT2, pol, dt_limit=np.inf)
+        a = step_meso(a, MAT2, dt_limit=dt_max)
+        b = step_meso(b, MAT2, dt_limit=dt_max)
     am = mirror(a)
     assert np.allclose(am.grid.node_x, b.grid.node_x, atol=1e-10)
     assert np.allclose(am.u, b.u, atol=1e-10)

@@ -1,14 +1,19 @@
 """Every library input check rejects NaN, like the scalar checks do, and
 every check for a positive scalar also rejects infinity.  The phase
 pressures that p_eff and relaxation_rhs take are checked like the
-densities the pressure laws take: NaN and negative values are rejected."""
+densities the pressure laws take: NaN and negative values are rejected.
+A step's dt_limit must be > 0 and finite; step_macro alone accepts an
+infinite one where its relaxation bound is finite, as that still caps
+the step."""
 
 import numpy as np
 import pytest
 
+from biphase1d.macro import init_macro_riemann, step_macro
 from biphase1d.materials import (MaterialPair, PowerLaw, mixture_pressure, mu_eff, p_eff,
                                  relaxation_rhs)
-from biphase1d.stepping import StaggeredGrid, StepPolicy, assemble_momentum, node_mass
+from biphase1d.meso import init_meso_riemann, step_meso
+from biphase1d.stepping import StaggeredGrid, assemble_momentum, lagrangian_step, node_mass
 
 NAN = float("nan")
 INF = float("inf")
@@ -20,6 +25,20 @@ HALF_NAN = np.array([0.5, NAN, 0.5, 0.5])
 HALF = np.full(4, 0.5)
 FRACTION = "volume fraction must lie in"
 PRESSURE = "phase pressures must be >= 0"
+DT_LIMIT = "dt_limit must be > 0 and finite"
+
+
+def kernel_step(dt_limit):
+    return lagrangian_step(GRID, np.zeros(4), GRID.cell_dx, ONES, ONES, dt_limit)
+
+
+def meso_step(dt_limit):
+    return step_meso(init_meso_riemann(4), MAT, dt_limit)
+
+
+def macro_step(dt_limit):
+    return step_macro(init_macro_riemann(4), MAT, "cross", dt_limit)
+
 
 CASES = {
     "grid": (lambda: StaggeredGrid([0.1, NAN, 0.6]), "cell widths must all be > 0"),
@@ -49,7 +68,8 @@ def test_nan_is_rejected(call, message):
 
 
 INF_CASES = {
-    "dt_max": (lambda: StepPolicy(dt_max=INF), "dt_max must be > 0 and finite"),
+    "dt_limit": (lambda: kernel_step(INF), DT_LIMIT),
+    "step_meso_dt_limit": (lambda: meso_step(INF), DT_LIMIT),
     "power_K": (lambda: PowerLaw(K=INF), "pressure coefficient must be > 0 and finite"),
     "power_gamma": (lambda: PowerLaw(gamma=INF), "pressure exponent must be >= 1 and finite"),
     "mu_plus": (lambda: MaterialPair(MAT.law_plus, MAT.law_minus, INF, 0.02),
@@ -61,6 +81,19 @@ INF_CASES = {
 def test_infinity_is_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("step", (kernel_step, meso_step, macro_step),
+                         ids=("lagrangian_step", "step_meso", "step_macro"))
+@pytest.mark.parametrize("dt_limit", (NAN, 0.0, -1.0), ids=("nan", "zero", "negative"))
+def test_dt_limit_must_be_positive(step, dt_limit):
+    with pytest.raises(ValueError, match=DT_LIMIT):
+        step(dt_limit)
+
+
+def test_step_macro_accepts_infinite_dt_limit_under_its_relaxation_bound():
+    state = step_macro(init_macro_riemann(4), MAT, "cross", INF)
+    assert 0 < state.t < INF
 
 
 NEGATIVE = np.array([1.0, -1e-300, 1.0, 1.0])

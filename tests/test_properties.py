@@ -26,7 +26,7 @@ from biphase1d.materials import (MaterialPair, PowerLaw, homogenized, mu_eff, p_
                                  relaxation_rhs)
 from biphase1d.cli import parse_config
 from biphase1d.meso import MesoState, init_meso_riemann, run_scheme, step_meso
-from biphase1d.stepping import (RHO_SANE_MAX, RHO_SANE_MIN, StaggeredGrid, StepPolicy,
+from biphase1d.stepping import (CFL_THETA, RHO_SANE_MAX, RHO_SANE_MIN, StaggeredGrid,
                                 assemble_momentum, back_difference, choose_dt,
                                 lagrangian_step, left_neighbour, node_mass, right_neighbour)
 from biphase1d.tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
@@ -48,7 +48,7 @@ def test_step_conserves_cell_mass_and_length(seed, J, dt_max):
     with patch.object(stepping, "MAX_HALVINGS", 60):
         out = lagrangian_step(grid, rng.uniform(-1.0, 1.0, J), mass,
                               rng.uniform(0.0, 1.0, J), rng.uniform(0.0, 10.0, J),
-                              StepPolicy(dt_max=dt_max), dt_limit=np.inf)
+                              dt_limit=dt_max)
     assert np.array_equal(mass, kept)
     assert out.grid.length == 1.0
     assert abs(np.sum(out.grid.cell_dx) - 1.0) <= 1e-12
@@ -67,8 +67,8 @@ def quiet_step_inputs(J=16):
 @given(k=st.integers(0, 8), max_halvings=st.integers(1, 8))
 def test_rejections_halve_dt_within_one_budget(k, max_halvings):
     grid, u, mass, mu, p = quiet_step_inputs()
-    policy = StepPolicy(dt_max=1e-4)
-    dt0 = choose_dt(grid, u, policy)
+    dt_max = 1e-4
+    dt0 = min(choose_dt(grid, u), dt_max)
     tried = []
 
     def reject_first_k(u_new, new_grid, dt):
@@ -79,11 +79,10 @@ def test_rejections_halve_dt_within_one_budget(k, max_halvings):
         if k > max_halvings:
             with pytest.raises(StepFailure, match=f"step rejection persisted after "
                                                   f"{max_halvings} dt halvings"):
-                lagrangian_step(grid, u, mass, mu, p, policy, dt_limit=np.inf,
-                                accept=reject_first_k)
+                lagrangian_step(grid, u, mass, mu, p, dt_limit=dt_max, accept=reject_first_k)
             assert len(tried) == max_halvings + 1
             return
-        out = lagrangian_step(grid, u, mass, mu, p, policy, dt_limit=np.inf, accept=reject_first_k)
+        out = lagrangian_step(grid, u, mass, mu, p, dt_limit=dt_max, accept=reject_first_k)
     assert out.halvings == k
     assert out.dt_used == dt0 * 0.5**k
     assert tried == [dt0 * 0.5**i for i in range(k + 1)]
@@ -94,9 +93,9 @@ def test_inversions_and_rejections_share_the_budget():
     # inverts cells at the dt_max try and forces halvings
     grid = StaggeredGrid.uniform(8)
     args = (grid, np.zeros(8), grid.cell_dx, np.zeros(8),
-            np.where(np.arange(8) % 2 == 0, 100.0, 0.0), StepPolicy(dt_max=1.0))
+            np.where(np.arange(8) % 2 == 0, 100.0, 0.0))
     with patch.object(stepping, "MAX_HALVINGS", 60):
-        inversions = lagrangian_step(*args, dt_limit=np.inf).halvings
+        inversions = lagrangian_step(*args, dt_limit=1.0).halvings
     assert inversions > 0
 
     seen = []
@@ -106,14 +105,14 @@ def test_inversions_and_rejections_share_the_budget():
         return len(seen) > 1
 
     with patch.object(stepping, "MAX_HALVINGS", 60):
-        out = lagrangian_step(*args, dt_limit=np.inf, accept=reject_once)
+        out = lagrangian_step(*args, dt_limit=1.0, accept=reject_once)
     assert out.halvings == inversions + 1
     with (patch.object(stepping, "MAX_HALVINGS", inversions),
           pytest.raises(StepFailure, match=f"step rejection persisted after {inversions} ")):
-        lagrangian_step(*args, dt_limit=np.inf, accept=lambda u_new, new_grid, dt: False)
+        lagrangian_step(*args, dt_limit=1.0, accept=lambda u_new, new_grid, dt: False)
     with (patch.object(stepping, "MAX_HALVINGS", inversions - 1),
           pytest.raises(StepFailure, match=f"cell inversion persisted after {inversions - 1} ")):
-        lagrangian_step(*args, dt_limit=np.inf, accept=lambda u_new, new_grid, dt: True)
+        lagrangian_step(*args, dt_limit=1.0, accept=lambda u_new, new_grid, dt: True)
 
 
 @st.composite
@@ -177,13 +176,12 @@ def run_to_the_end_or_the_envelope(config):
         accepted = [init_meso_riemann(config.cells)]
 
         def step(state, dt_limit):
-            return step_meso(state, config.mat, config.policy, dt_limit=dt_limit)
+            return step_meso(state, config.mat, dt_limit=dt_limit)
     else:
         accepted = [init_macro_riemann(config.cells)]
 
         def step(state, dt_limit):
-            return step_macro(state, config.mat, config.weighting, config.policy,
-                              dt_limit=dt_limit)
+            return step_macro(state, config.mat, config.weighting, dt_limit=dt_limit)
 
     def advance(state, dt_limit):
         accepted.append(step(state, dt_limit))
@@ -253,15 +251,14 @@ def test_macro_on_pure_cells_is_the_meso_step(half_J, steps, gamma_plus, gamma_m
     # ones at alpha in {0, 1} and the relaxation rate vanishes there
     mat = MaterialPair(PowerLaw(K_plus, gamma_plus), PowerLaw(K_minus, gamma_minus),
                        mu_plus, mu_minus)
-    policy = StepPolicy()
     meso = init_meso_riemann(2 * half_J)
     c, m = meso.c, meso.cell_mass
     rho = m / meso.grid.cell_dx
     macro = MacroState(grid=meso.grid, u=meso.u, alpha=c, mass_plus=c * m,
                        mass_minus=(1.0 - c) * m, rho_plus=rho, rho_minus=rho.copy())
     for _ in range(steps):
-        meso = step_meso(meso, mat, policy, dt_limit=np.inf)
-        macro = step_macro(macro, mat, "cross", policy, dt_limit=np.inf)
+        meso = step_meso(meso, mat, dt_limit=1e-4)
+        macro = step_macro(macro, mat, "cross", dt_limit=1e-4)
         assert same_bits(macro.grid.node_x, meso.grid.node_x)
         assert same_bits(macro.u, meso.u)
         assert same_bits(macro.rho, meso.rho)
@@ -352,13 +349,12 @@ def test_momentum_system_equals_its_roll_formulas(grid, dt, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=tori(), dt_max=st.floats(1e-8, 1.0), theta=st.floats(0.01, 0.99),
-       data=st.data())
-def test_choose_dt_equals_its_roll_formula(grid, dt_max, theta, data):
+@given(grid=tori(), dt_max=st.floats(1e-8, 1.0), data=st.data())
+def test_choose_dt_equals_its_roll_formula(grid, dt_max, data):
     u = field(data.draw, grid.J)
-    want = min(dt_max, theta * np.min(grid.cell_dx)
+    want = min(dt_max, CFL_THETA * np.min(grid.cell_dx)
                / (np.max(np.abs(u - np.roll(u, 1))) + 1e-12))
-    assert same_bits(choose_dt(grid, u, StepPolicy(cfl_theta=theta, dt_max=dt_max)), want)
+    assert same_bits(min(choose_dt(grid, u), dt_max), want)
 
 
 @settings(max_examples=60, deadline=None)

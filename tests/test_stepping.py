@@ -8,14 +8,9 @@ import pytest
 from biphase1d import stepping
 from biphase1d.errors import StepFailure
 from biphase1d.meso import MesoState
-from biphase1d.stepping import (StaggeredGrid, StepPolicy, assemble_momentum, choose_dt,
+from biphase1d.stepping import (CFL_THETA, StaggeredGrid, assemble_momentum, choose_dt,
                                 lagrangian_step, node_mass)
 from biphase1d.tridiag import solve_cyclic_tridiagonal
-
-
-def policy(**kw):
-    kw.setdefault("dt_max", 1e-4)
-    return StepPolicy(**kw)
 
 
 def node_density(rho, g):
@@ -195,16 +190,18 @@ class TestDensityUpdate:
 
 
 class TestChooseDt:
-    def test_at_rest_returns_cap(self):
+    def test_step_from_rest_uses_dt_limit(self):
         g = StaggeredGrid.uniform(10)
-        assert choose_dt(g, np.zeros(10), policy(dt_max=0.02)) == 0.02
+        out = lagrangian_step(g, np.zeros(10), g.cell_dx, np.full(10, 0.1), np.ones(10),
+                              dt_limit=0.02)
+        assert out.dt_used == 0.02
 
     def test_formula_value(self):
         g = StaggeredGrid.uniform(1000)
         u = np.zeros(1000)
         u[5] = 0.5
-        dt = choose_dt(g, u, policy(dt_max=1.0, cfl_theta=0.4))
-        assert np.isclose(dt, 0.4 * 0.001 / 0.5, rtol=1e-9)
+        dt = min(choose_dt(g, u), 1.0)
+        assert np.isclose(dt, CFL_THETA * 0.001 / 0.5, rtol=1e-9)
 
     def test_monotone_in_velocity_jump(self):
         g = StaggeredGrid.uniform(50)
@@ -212,7 +209,7 @@ class TestChooseDt:
         for jump in (0.1, 0.5, 2.5):
             u = np.zeros(50)
             u[10] = jump
-            dts.append(choose_dt(g, u, policy(dt_max=1.0)))
+            dts.append(min(choose_dt(g, u), 1.0))
         assert dts[0] >= dts[1] >= dts[2]
 
 
@@ -220,7 +217,7 @@ class TestLagrangianStep:
     def test_equilibrium_fixed_point(self):
         g = StaggeredGrid.uniform(8)
         out = lagrangian_step(g, np.zeros(8), 1.5 * g.cell_dx, np.full(8, 0.1),
-                              np.full(8, 1.5), policy(), dt_limit=np.inf)
+                              np.full(8, 1.5), dt_limit=1e-4)
         assert np.array_equal(out.u, np.zeros(8))
         assert np.array_equal(out.grid.node_x, g.node_x)
         assert np.array_equal(out.grid.cell_dx, g.cell_dx)
@@ -230,7 +227,7 @@ class TestLagrangianStep:
         g = StaggeredGrid.uniform(8)
         u = np.full(8, 0.7)
         out = lagrangian_step(g, u, 2.0 * g.cell_dx, np.full(8, 0.1), np.full(8, 3.0),
-                              policy(), dt_limit=np.inf)
+                              dt_limit=1e-4)
         assert np.allclose(out.u, u, rtol=1e-14)
         assert np.allclose(out.grid.cell_dx, g.cell_dx, rtol=1e-12)
 
@@ -240,8 +237,7 @@ class TestLagrangianStep:
         mass = rng.uniform(0.2, 3.0, 32) * g.cell_dx
         kept = mass.copy()
         out = lagrangian_step(g, rng.normal(scale=0.2, size=32), mass,
-                              np.full(32, 0.1), rng.uniform(0.5, 4.0, 32), policy(),
-                              dt_limit=np.inf)
+                              np.full(32, 0.1), rng.uniform(0.5, 4.0, 32), dt_limit=1e-4)
         assert not np.array_equal(out.grid.cell_dx, g.cell_dx)
         assert np.array_equal(mass, kept)
         s = MesoState(grid=out.grid, u=out.u, cell_mass=mass, c=np.ones(32))
@@ -257,8 +253,7 @@ class TestLagrangianStep:
         p = mixture_pressure(state.c, state.rho, mat)
         mu = mixture_viscosity(state.c, mat)
         mass_before = node_mass(state.cell_mass)
-        out = lagrangian_step(state.grid, state.u, state.cell_mass, mu, p, policy(),
-                              dt_limit=np.inf)
+        out = lagrangian_step(state.grid, state.u, state.cell_mass, mu, p, dt_limit=1e-4)
         rho_after = state.cell_mass / out.grid.cell_dx
         mass_after = node_mass(rho_after * out.grid.cell_dx)
         assert not np.array_equal(out.grid.cell_dx, state.grid.cell_dx)
@@ -270,7 +265,7 @@ class TestLagrangianStep:
         mass = rng.uniform(0.2, 3.0, 64) * g.cell_dx
         u = rng.normal(scale=0.3, size=64)
         out = lagrangian_step(g, u, mass, np.full(64, 0.05), rng.uniform(0.5, 4.0, 64),
-                              policy(), dt_limit=np.inf)
+                              dt_limit=1e-4)
         rho_after = mass / out.grid.cell_dx
         assert np.isclose(np.sum(rho_after * out.grid.cell_dx), np.sum(mass), rtol=1e-13)
         assert np.isclose(np.sum(out.grid.cell_dx), 1.0, atol=1e-12)
@@ -278,7 +273,7 @@ class TestLagrangianStep:
     def test_dt_limit_honored(self):
         g = StaggeredGrid.uniform(8)
         out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.full(8, 0.1),
-                              np.ones(8), policy(dt_max=1e-2), dt_limit=1e-5)
+                              np.ones(8), dt_limit=1e-5)
         assert out.dt_used == 1e-5
 
     def test_inversion_retries_then_fails(self):
@@ -288,13 +283,11 @@ class TestLagrangianStep:
         g = StaggeredGrid.uniform(8)
         p = np.where(np.arange(8) % 2 == 0, 100.0, 0.0)
         with patch.object(stepping, "MAX_HALVINGS", 60):
-            out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p,
-                                  policy(dt_max=1.0), dt_limit=np.inf)
+            out = lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p, dt_limit=1.0)
         assert out.halvings > 0
         with (patch.object(stepping, "MAX_HALVINGS", 1),
               pytest.raises(StepFailure, match="cell inversion persisted after 1 ") as info):
-            lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p, policy(dt_max=1.0),
-                            dt_limit=np.inf)
+            lagrangian_step(g, np.zeros(8), g.cell_dx, np.zeros(8), p, dt_limit=1.0)
         # dt = 1 and 1/2 both invert; the failure reports the last of them
         assert info.value.diagnostics["dt"] == 0.5
 
@@ -309,7 +302,7 @@ class TestLagrangianStep:
         with (patch.object(stepping, "MAX_HALVINGS", 3),
               pytest.raises(StepFailure, match="step rejection persisted after 3 ") as info):
             lagrangian_step(g, np.zeros(8), g.cell_dx, np.full(8, 0.1), np.ones(8),
-                            policy(dt_max=1e-2), dt_limit=np.inf, accept=refuse)
+                            dt_limit=1e-2, accept=refuse)
         assert tried == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
         assert info.value.diagnostics["dt"] == 1.25e-3
 
@@ -322,11 +315,11 @@ class TestLagrangianStep:
         mass[3] *= 7000.0
         u = np.zeros(8)
         u[2], u[3] = 1.0, -1.0
-        args = (g, u, mass, np.full(8, 1e-3), np.zeros(8), policy(dt_max=1.0))
-        dt = choose_dt(g, u, args[-1])
+        args = (g, u, mass, np.full(8, 1e-3), np.zeros(8))
+        dt = min(choose_dt(g, u), 1.0)
         with pytest.raises(StepFailure,
                            match=r"^density left the sane range \[0.0001, 10000.0\]$") as info:
-            lagrangian_step(*args, dt_limit=np.inf)
+            lagrangian_step(*args, dt_limit=1.0)
         assert info.value.diagnostics["dt"] == dt
         half = lagrangian_step(*args, dt_limit=0.5 * dt)
         assert half.halvings == 0
@@ -341,5 +334,4 @@ class TestLagrangianStep:
         assemble_momentum(g, np.zeros(4), np.ones(4), np.ones(4),
                           0.5 * (mass + np.roll(mass, -1)), dt=0.1)
         with pytest.raises(ValueError, match="cell masses must be > 0"):
-            lagrangian_step(g, np.zeros(4), mass, np.ones(4), np.ones(4), policy(),
-                            dt_limit=np.inf)
+            lagrangian_step(g, np.zeros(4), mass, np.ones(4), np.ones(4), dt_limit=1e-4)
