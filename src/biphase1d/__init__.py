@@ -20,7 +20,7 @@ from .materials import (WEIGHTING_CROSS, WEIGHTING_OWN, WEIGHTINGS,
 from .meso import MesoState, init_meso_riemann, run_meso, step_meso
 from .stepping import (StaggeredGrid, StepOutcome, assemble_momentum, choose_dt,
                        lagrangian_step, node_mass)
-from .tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
+from .tridiag import solve_cyclic_tridiagonal
 from .cli import PRESETS, RunConfig, parse_config, run_experiment, run_sweep
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "MesoState", "init_meso_riemann", "run_meso", "step_meso",
     "StaggeredGrid", "StepOutcome", "assemble_momentum",
     "choose_dt", "lagrangian_step", "node_mass",
-    "CyclicTridiagonalSystem", "solve_cyclic_tridiagonal",
+    "solve_cyclic_tridiagonal",
     "PRESETS", "RunConfig", "parse_config", "run_experiment", "run_sweep",
 ]
 

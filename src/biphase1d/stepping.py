@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepFailure
-from .tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
+from .tridiag import solve_cyclic_tridiagonal
 
 _CFL_EPS = 1e-12
 
@@ -113,7 +113,8 @@ def node_mass(cell_mass):
 
 
 def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
-    """Implicit-viscosity momentum system for the new node velocities.
+    """Implicit-viscosity momentum system for the new node velocities, as
+    the four arrays (sub, diag, sup, rhs) that solve_cyclic_tridiagonal takes.
 
     Row j:  m_j u_j - dt*mu_{j+1}/dx_{j+1} (u_{j+1} - u_j)
                     + dt*mu_j/dx_j (u_j - u_{j-1})
@@ -134,10 +135,8 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
     w_left = dt * mu / grid.cell_dx
     w_right = right_neighbour(w_left)
     diag = node_mass + w_left + w_right
-    sub = -w_left
-    sup = -w_right
     rhs = node_mass * np.asarray(u_old, dtype=float) - dt * (right_neighbour(p) - p)
-    return CyclicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    return -w_left, diag, -w_right, rhs
 
 
 def choose_dt(grid, u_old):
@@ -179,7 +178,7 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=
         # the system stays unnamed so it dies at once: fewer live temporaries
         # at large J keep the heap from being trimmed and refaulted every step
         u_new = solve_cyclic_tridiagonal(
-            assemble_momentum(grid, u_old, mu_cells, p_cells, m_node, dt))
+            *assemble_momentum(grid, u_old, mu_cells, p_cells, m_node, dt))
         # mesh motion: the widths still add up to the unit length
         try:
             new_grid = StaggeredGrid(grid.node_x + dt * u_new)

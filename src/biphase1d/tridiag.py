@@ -2,12 +2,12 @@
 
 The implicit viscosity discretization couples each interface velocity to
 its two neighbours with periodic wrap-around, giving a tridiagonal matrix
-with two extra corner entries.  The corners are removed with a rank-one
-correction, leaving two ordinary tridiagonal solves that share one
-LAPACK ``dgtsv`` factorization.
+with two extra corner entries.  The system is passed as four arrays,
+``sub``, ``diag``, ``sup`` and ``rhs``, of one length n >= 3:
+A[j, j-1 mod n] = sub[j], A[j, j] = diag[j], A[j, j+1 mod n] = sup[j].
+The corners are removed with a rank-one correction, leaving two ordinary
+tridiagonal solves that share one LAPACK ``dgtsv`` factorization.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -17,50 +17,28 @@ from .errors import SingularSystemError
 _PIVOT_FLOOR = 1e-300
 
 
-@dataclass
-class CyclicTridiagonalSystem:
-    """A x = rhs with A[j, j-1 mod n] = sub[j], A[j, j] = diag[j],
-    A[j, j+1 mod n] = sup[j]."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        self.sub = np.asarray(self.sub, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.sup = np.asarray(self.sup, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        n = self.diag.size
-        if n < 3:
-            raise ValueError(f"cyclic system needs n >= 3, got n = {n}")
-        for name in ("sub", "sup", "rhs"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-
-    @property
-    def n(self):
-        return self.diag.size
-
-    def matvec(self, x):
-        """A @ x with periodic wrap."""
-        from .stepping import left_neighbour, right_neighbour  # stepping imports this module
-
-        x = np.asarray(x, dtype=float)
-        return self.diag * x + self.sub * left_neighbour(x) + self.sup * right_neighbour(x)
-
-
-def solve_cyclic_tridiagonal(system):
-    """Solve the periodic tridiagonal system, O(n).
+def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
+    """Solve the periodic tridiagonal system A x = rhs, O(n).
 
     Uses the standard corner correction: write A = T + u v^T with T
     tridiagonal, solve T y = rhs and T z = u with one factorization, and
     combine x = y - z (v.y)/(1 + v.z).  Exact (to rounding) for the
     diagonally dominant matrices the momentum step produces.
+
+    Raises ValueError for n < 3 or arrays of unequal lengths, and
+    SingularSystemError (a SolverError) for a zero pivot, a degenerate
+    corner correction or a non-finite solution.
     """
-    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
-    n = system.n
+    sub = np.asarray(sub, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    sup = np.asarray(sup, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    n = diag.size
+    if n < 3:
+        raise ValueError(f"cyclic system needs n >= 3, got n = {n}")
+    for name, a in (("sub", sub), ("sup", sup), ("rhs", rhs)):
+        if a.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},)")
 
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
     t_diag = diag.copy()

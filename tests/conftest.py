@@ -3,15 +3,23 @@
 import numpy as np
 
 
-def dense_solve(sub, diag, sup, rhs):
-    """Independent oracle for periodic tridiagonal systems: assemble the
-    full matrix and run Gaussian elimination with partial pivoting."""
+def dense_matrix(sub, diag, sup):
+    """The full matrix of a periodic tridiagonal system, entry by entry:
+    A[j, j-1 mod n] = sub[j], A[j, j] = diag[j], A[j, j+1 mod n] = sup[j]."""
     n = len(diag)
     A = np.zeros((n, n))
     for j in range(n):
         A[j, j] = diag[j]
         A[j, (j - 1) % n] = sub[j]
         A[j, (j + 1) % n] = sup[j]
+    return A
+
+
+def dense_solve(sub, diag, sup, rhs):
+    """Independent oracle for periodic tridiagonal systems: assemble the
+    full matrix and run Gaussian elimination with partial pivoting."""
+    n = len(diag)
+    A = dense_matrix(sub, diag, sup)
     M = np.hstack([A, np.asarray(rhs, dtype=float).reshape(-1, 1)])
     for col in range(n):
         piv = col + np.argmax(np.abs(M[col:, col]))
@@ -25,16 +33,15 @@ def dense_solve(sub, diag, sup, rhs):
 
 
 def random_dominant_system(rng, n):
-    """A strictly diagonally dominant cyclic tridiagonal system."""
-    from biphase1d.tridiag import CyclicTridiagonalSystem
-
+    """A strictly diagonally dominant cyclic tridiagonal system, as the
+    arrays (sub, diag, sup, rhs)."""
     sub = rng.uniform(-1, 1, n)
     sup = rng.uniform(-1, 1, n)
     margin = rng.uniform(0.1, 2.0, n)
     sign = rng.choice([-1.0, 1.0], n)
     diag = sign * (np.abs(sub) + np.abs(sup) + margin)
     rhs = rng.uniform(-5, 5, n)
-    return CyclicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    return sub, diag, sup, rhs
 
 
 def window_walk(state, K):

@@ -141,7 +141,7 @@ def test_criterion_04_relaxation_identities():
         w = alphas * (1.0 - alphas)
         scale = 1.0 + w * (np.abs(a * dp) + np.abs(bb * s))
         worst = max(worst, np.max(np.abs(rate - w * (a * dp + bb * s)) / scale))
-    check(4, "relaxation-weight identities", worst <= IDENTITY_TOL,
+    check(4, "relaxation-rate identities", worst <= IDENTITY_TOL,
           f"max scaled residual {worst:.2e} <= {IDENTITY_TOL} on 100x100 grid")
 
 
@@ -150,9 +150,9 @@ def test_criterion_05_solver_oracle():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(3, 65))
-        sys = random_dominant_system(rng, n)
-        x = b.solve_cyclic_tridiagonal(sys)
-        ref = dense_solve(sys.sub, sys.diag, sys.sup, sys.rhs)
+        system = random_dominant_system(rng, n)
+        x = b.solve_cyclic_tridiagonal(*system)
+        ref = dense_solve(*system)
         worst = max(worst, float(np.max(np.abs(x - ref))))
     check(5, "cyclic solver vs dense elimination", worst <= SOLVER_TOL,
           f"max deviation {worst:.2e} <= {SOLVER_TOL} over 100 systems, n in [3,64]")

@@ -2,18 +2,21 @@
 every check for a positive scalar also rejects infinity.  The phase
 pressures that p_eff and relaxation_rhs take are checked like the
 densities the pressure laws take: NaN and negative values are rejected.
-A step's dt_limit must be > 0 and finite; step_macro alone accepts an
-infinite one where its relaxation bound is finite, as that still caps
-the step."""
+The cyclic solve fails on a NaN in any of its four arrays with a
+SingularSystemError, as its solution is then not finite.  A step's
+dt_limit must be > 0 and finite; step_macro alone accepts an infinite
+one where its relaxation bound is finite, as that still caps the step."""
 
 import numpy as np
 import pytest
 
+from biphase1d.errors import SingularSystemError
 from biphase1d.macro import init_macro_riemann, step_macro
 from biphase1d.materials import (MaterialPair, PowerLaw, mixture_pressure, mu_eff, p_eff,
                                  relaxation_rhs)
 from biphase1d.meso import init_meso_riemann, step_meso
 from biphase1d.stepping import StaggeredGrid, assemble_momentum, lagrangian_step, node_mass
+from biphase1d.tridiag import solve_cyclic_tridiagonal
 
 NAN = float("nan")
 INF = float("inf")
@@ -94,6 +97,16 @@ def test_dt_limit_must_be_positive(step, dt_limit):
 def test_step_macro_accepts_infinite_dt_limit_under_its_relaxation_bound():
     state = step_macro(init_macro_riemann(4), MAT, "cross", INF)
     assert 0 < state.t < INF
+
+
+@pytest.mark.parametrize("entry", (0, 2, 4), ids=("first", "middle", "last"))
+@pytest.mark.parametrize("array", range(4), ids=("sub", "diag", "sup", "rhs"))
+def test_nan_in_the_cyclic_system_is_rejected(array, entry):
+    # diagonally dominant, n = 5
+    system = [np.full(5, -1.0), np.full(5, 3.0), np.full(5, -1.0), np.arange(1.0, 6.0)]
+    system[array][entry] = NAN
+    with pytest.raises(SingularSystemError):
+        solve_cyclic_tridiagonal(*system)
 
 
 NEGATIVE = np.array([1.0, -1e-300, 1.0, 1.0])

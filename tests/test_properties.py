@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import dense_solve, window_walk
+from conftest import dense_matrix, dense_solve, window_walk
 
 from biphase1d import stepping
 from biphase1d.diagnostics import _window_sums, estimate_alpha_meso
@@ -29,7 +29,7 @@ from biphase1d.meso import MesoState, init_meso_riemann, run_scheme, step_meso
 from biphase1d.stepping import (CFL_THETA, RHO_SANE_MAX, RHO_SANE_MIN, StaggeredGrid,
                                 assemble_momentum, back_difference, choose_dt,
                                 lagrangian_step, left_neighbour, node_mass, right_neighbour)
-from biphase1d.tridiag import CyclicTridiagonalSystem, solve_cyclic_tridiagonal
+from biphase1d.tridiag import solve_cyclic_tridiagonal
 
 
 def random_grid(rng, J):
@@ -272,13 +272,14 @@ def test_macro_on_pure_cells_is_the_meso_step(half_J, steps, gamma_plus, gamma_m
 def test_momentum_solve_matches_the_dense_oracle(seed, J, dt):
     rng = np.random.default_rng(seed)
     grid = random_grid(rng, J)
-    system = assemble_momentum(grid, rng.uniform(-2.0, 2.0, J), rng.uniform(0.0, 1.0, J),
-                               rng.uniform(0.0, 10.0, J), rng.uniform(1e-3, 10.0, J), dt)
-    x = solve_cyclic_tridiagonal(system)
-    ref = dense_solve(system.sub, system.diag, system.sup, system.rhs)
+    sub, diag, sup, rhs = assemble_momentum(grid, rng.uniform(-2.0, 2.0, J),
+                                            rng.uniform(0.0, 1.0, J), rng.uniform(0.0, 10.0, J),
+                                            rng.uniform(1e-3, 10.0, J), dt)
+    x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
+    ref = dense_solve(sub, diag, sup, rhs)
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
-    scale = np.max(np.abs(system.diag)) * np.max(np.abs(x)) + np.max(np.abs(system.rhs))
-    assert np.max(np.abs(system.matvec(x) - system.rhs)) <= 1e-13 * scale
+    scale = np.max(np.abs(diag)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(dense_matrix(sub, diag, sup) @ x - rhs)) <= 1e-13 * scale
 
 
 # The step's building blocks against the formulas they replace.  Every
@@ -340,12 +341,12 @@ def test_momentum_system_equals_its_roll_formulas(grid, dt, data):
     u, p = field(data.draw, J), field(data.draw, J)
     mu = field(data.draw, J, NONNEGATIVE)
     m_node = field(data.draw, J, POSITIVE)
-    system = assemble_momentum(grid, u, mu, p, m_node, dt)
+    sub, diag, sup, rhs = assemble_momentum(grid, u, mu, p, m_node, dt)
     w = dt * mu / grid.cell_dx
-    assert same_bits(system.diag, m_node + w + np.roll(w, -1))
-    assert same_bits(system.sub, -w)
-    assert same_bits(system.sup, -np.roll(w, -1))
-    assert same_bits(system.rhs, m_node * u - dt * (np.roll(p, -1) - p))
+    assert same_bits(diag, m_node + w + np.roll(w, -1))
+    assert same_bits(sub, -w)
+    assert same_bits(sup, -np.roll(w, -1))
+    assert same_bits(rhs, m_node * u - dt * (np.roll(p, -1) - p))
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,14 +356,6 @@ def test_choose_dt_equals_its_roll_formula(grid, dt_max, data):
     want = min(dt_max, CFL_THETA * np.min(grid.cell_dx)
                / (np.max(np.abs(u - np.roll(u, 1))) + 1e-12))
     assert same_bits(min(choose_dt(grid, u), dt_max), want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(J=st.integers(3, 40), data=st.data())
-def test_matvec_equals_its_roll_formula(J, data):
-    sub, diag, sup, x = (field(data.draw, J) for _ in range(4))
-    system = CyclicTridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.zeros(J))
-    assert same_bits(system.matvec(x), diag * x + sub * np.roll(x, 1) + sup * np.roll(x, -1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -86,14 +86,14 @@ class TestMomentum:
     def test_zero_viscosity_uniform_pressure_keeps_velocity(self):
         g = StaggeredGrid.uniform(8)
         u_old = np.sin(np.arange(8))
-        sys = assemble_momentum(g, u_old, np.zeros(8), np.ones(8), np.ones(8), dt=0.1)
-        assert np.allclose(solve_cyclic_tridiagonal(sys), u_old, atol=1e-15)
+        system = assemble_momentum(g, u_old, np.zeros(8), np.ones(8), np.ones(8), dt=0.1)
+        assert np.allclose(solve_cyclic_tridiagonal(*system), u_old, atol=1e-15)
 
     def test_equilibrium_stays_at_rest(self):
         g = StaggeredGrid.uniform(8)
-        sys = assemble_momentum(g, np.zeros(8), np.full(8, 0.3), np.full(8, 2.0),
-                                np.ones(8), dt=0.05)
-        assert np.array_equal(solve_cyclic_tridiagonal(sys), np.zeros(8))
+        system = assemble_momentum(g, np.zeros(8), np.full(8, 0.3), np.full(8, 2.0),
+                                   np.ones(8), dt=0.05)
+        assert np.array_equal(solve_cyclic_tridiagonal(*system), np.zeros(8))
 
     def test_against_dense_relation_oracle(self):
         # J=4 uniform grid, unit node masses, mu=1, dt=0.1, p=(1,2,1,2)
@@ -102,8 +102,7 @@ class TestMomentum:
         p = np.array([1.0, 2.0, 1.0, 2.0])
         mass = np.ones(4)
         dt = 0.1
-        sys = assemble_momentum(g, np.zeros(4), mu, p, mass, dt)
-        u = solve_cyclic_tridiagonal(sys)
+        u = solve_cyclic_tridiagonal(*assemble_momentum(g, np.zeros(4), mu, p, mass, dt))
 
         A = np.zeros((4, 4))
         rhs = np.zeros(4)
@@ -118,10 +117,10 @@ class TestMomentum:
     def test_strict_diagonal_dominance(self):
         rng = np.random.default_rng(2)
         g = StaggeredGrid(np.sort(rng.uniform(0, 1, 12)))
-        sys = assemble_momentum(g, rng.normal(size=12), rng.uniform(0.01, 1, 12),
-                                rng.uniform(0.5, 4, 12), rng.uniform(0.1, 2, 12),
-                                dt=0.3)
-        assert np.all(np.abs(sys.diag) > np.abs(sys.sub) + np.abs(sys.sup))
+        sub, diag, sup, _ = assemble_momentum(g, rng.normal(size=12), rng.uniform(0.01, 1, 12),
+                                              rng.uniform(0.5, 4, 12), rng.uniform(0.1, 2, 12),
+                                              dt=0.3)
+        assert np.all(np.abs(diag) > np.abs(sub) + np.abs(sup))
 
     def test_bad_inputs_rejected(self):
         g = StaggeredGrid.uniform(4)
