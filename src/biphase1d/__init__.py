@@ -7,10 +7,9 @@ pressure equilibrium.  A diagnostics layer checks the discrete
 conservation laws and measures how well the two descriptions agree.
 """
 
-from .diagnostics import (CoarseFields, DiagnosticsRecord, TwoPointReport,
-                          coarse_grain, compare_fields, estimate_alpha_meso,
-                          snapshot, total_energy, total_mass,
-                          two_point_structure, young_moment)
+from .diagnostics import (CoarseFields, DiagnosticsRecord, coarse_grain,
+                          compare_fields, estimate_alpha_meso, snapshot,
+                          total_energy, total_mass, young_moment)
 from .errors import ConfigError, SingularSystemError, SolverError, StepFailure
 from .macro import MacroState, init_macro_riemann, run_macro, step_macro
 from .materials import (WEIGHTING_CROSS, WEIGHTING_OWN, WEIGHTINGS,
@@ -24,9 +23,9 @@ from .tridiag import solve_cyclic_tridiagonal
 from .cli import PRESETS, RunConfig, parse_config, run_experiment, run_sweep
 
 __all__ = [
-    "CoarseFields", "DiagnosticsRecord", "TwoPointReport", "coarse_grain",
-    "compare_fields", "estimate_alpha_meso", "snapshot", "total_energy",
-    "total_mass", "two_point_structure", "young_moment",
+    "CoarseFields", "DiagnosticsRecord", "coarse_grain", "compare_fields",
+    "estimate_alpha_meso", "snapshot", "total_energy", "total_mass",
+    "young_moment",
     "ConfigError", "SingularSystemError", "SolverError", "StepFailure",
     "MacroState", "init_macro_riemann", "run_macro", "step_macro",
     "WEIGHTING_CROSS", "WEIGHTING_OWN", "WEIGHTINGS", "MaterialPair",

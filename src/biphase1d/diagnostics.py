@@ -34,8 +34,12 @@ class DiagnosticsRecord:
 class CoarseFields:
     """Window averages over a uniform partition of the torus.
 
-    Conditional phase averages are length (volume) weighted; a NaN entry
-    means the window contains no material of that phase.
+    Conditional phase averages and variances are length (volume)
+    weighted; a NaN entry means the window contains no material of that
+    phase.  ``gap`` is |rho_plus_hat - rho_minus_hat|, and the
+    concentration ratio max(var_plus, var_minus)/gap^2 quantifies how
+    close the local (rho, color) distribution is to two points; it is
+    NaN where the gap is degenerate (< 1e-12) or a phase is absent.
     """
 
     K: int
@@ -46,16 +50,6 @@ class CoarseFields:
     rho_plus_hat: np.ndarray
     rho_minus_hat: np.ndarray
     u_hat: np.ndarray
-
-
-@dataclass
-class TwoPointReport:
-    """Per-window conditional statistics of the density by phase."""
-
-    K: int
-    centers: np.ndarray
-    mean_plus: np.ndarray
-    mean_minus: np.ndarray
     var_plus: np.ndarray
     var_minus: np.ndarray
     gap: np.ndarray
@@ -169,31 +163,11 @@ def coarse_grain(state, K):
 
     The phase fraction per window is an exact length fraction (sharp
     interface) or the length-weighted mean of the volume fraction; the
-    conditional densities are volume averages over each phase's share.
+    conditional densities and their variances are volume averages over
+    each phase's share.
     """
     s = _window_sums(state, K)
-    h, length = s["h"], s["length"]
-    return CoarseFields(
-        K=K,
-        centers=(np.arange(K) + 0.5) * h,
-        window_len=length,
-        alpha_hat=np.clip(s["plus_len"] / length, 0.0, 1.0),
-        rho_hat=(s["plus_mass"] + s["minus_mass"]) / length,
-        rho_plus_hat=_conditional_mean(s["plus_mass"], s["plus_len"], h),
-        rho_minus_hat=_conditional_mean(s["minus_mass"], s["minus_len"], h),
-        u_hat=s["u_int"] / length,
-    )
-
-
-def two_point_structure(state, K):
-    """Phase-conditional density statistics per window.
-
-    The concentration ratio max(var)/gap^2 quantifies how close the
-    local (rho, color) distribution is to two points; it is NaN where
-    the gap is degenerate (< 1e-12) or a phase is absent.
-    """
-    s = _window_sums(state, K)
-    h, plus_len, minus_len = s["h"], s["plus_len"], s["minus_len"]
+    h, length, plus_len, minus_len = s["h"], s["length"], s["plus_len"], s["minus_len"]
     mean_p = _conditional_mean(s["plus_mass"], plus_len, h)
     mean_m = _conditional_mean(s["minus_mass"], minus_len, h)
     var_p = np.maximum(_conditional_mean(s["plus_sq"], plus_len, h) - mean_p**2, 0.0)
@@ -202,10 +176,20 @@ def two_point_structure(state, K):
     with np.errstate(invalid="ignore", divide="ignore"):
         conc = np.where(gap >= GAP_DEGENERATE,
                         np.fmax(var_p, var_m) / gap**2, np.nan)
-    return TwoPointReport(K=K, centers=(np.arange(K) + 0.5) * h,
-                          mean_plus=mean_p, mean_minus=mean_m,
-                          var_plus=var_p, var_minus=var_m,
-                          gap=gap, concentration=conc)
+    return CoarseFields(
+        K=K,
+        centers=(np.arange(K) + 0.5) * h,
+        window_len=length,
+        alpha_hat=np.clip(plus_len / length, 0.0, 1.0),
+        rho_hat=(s["plus_mass"] + s["minus_mass"]) / length,
+        rho_plus_hat=mean_p,
+        rho_minus_hat=mean_m,
+        u_hat=s["u_int"] / length,
+        var_plus=var_p,
+        var_minus=var_m,
+        gap=gap,
+        concentration=conc,
+    )
 
 
 # the compared coarse fields: CoarseFields holds each as <name>_hat

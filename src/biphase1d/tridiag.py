@@ -26,8 +26,8 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     diagonally dominant matrices the momentum step produces.
 
     Raises ValueError for n < 3 or arrays of unequal lengths, and
-    SingularSystemError (a SolverError) for a zero pivot, a degenerate
-    corner correction or a non-finite solution.
+    SingularSystemError (a SolverError) for a zero or non-finite pivot, a
+    degenerate corner correction or a non-finite solution.
     """
     sub = np.asarray(sub, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -50,12 +50,17 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
     b[0, 1] = gamma
     b[-1, 1] = sup[-1]
 
-    _, _, _, yz, info = dgtsv(sub[1:], t_diag, sup[:-1], b,
-                              overwrite_d=1, overwrite_b=1)
+    _, pivots, _, yz, info = dgtsv(sub[1:], t_diag, sup[:-1], b,
+                                   overwrite_d=1, overwrite_b=1)
     if info > 0:
         raise SingularSystemError(
             f"singular cyclic tridiagonal system (pivot at row {info - 1})",
             index=info - 1)
+    bad = ~np.isfinite(pivots)  # an inf coefficient can leave y, z finite but wrong
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise SingularSystemError(
+            f"singular cyclic tridiagonal system (non-finite pivot at row {idx})", index=idx)
     y, z = yz[:, 0], yz[:, 1]
 
     vy = y[0] + (sub[0] / gamma) * y[-1]

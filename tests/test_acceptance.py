@@ -208,19 +208,20 @@ def test_criterion_08_convergence_trend(sweep_errors):
 
 
 def test_criterion_09_two_point_structure(t1):
-    rep = b.two_point_structure(t1["meso"], 50)
+    rep = t1["coarse_meso"]
+    assert rep.K == 50
     wide = rep.gap > 0.1
     worst_conc = float(np.nanmax(rep.concentration[wide]))
     macro_coarse = t1["coarse_macro"]
-    wlen = t1["coarse_meso"].window_len
+    wlen = rep.window_len
 
     def rel_l1(a, ref):
         m = np.isfinite(a) & np.isfinite(ref)
         return float(np.sum(np.abs(a - ref)[m] * wlen[m])
                      / np.sum(np.abs(ref)[m] * wlen[m]))
 
-    env_p = rel_l1(rep.mean_plus, macro_coarse.rho_plus_hat)
-    env_m = rel_l1(rep.mean_minus, macro_coarse.rho_minus_hat)
+    env_p = rel_l1(rep.rho_plus_hat, macro_coarse.rho_plus_hat)
+    env_m = rel_l1(rep.rho_minus_hat, macro_coarse.rho_minus_hat)
     ok = (worst_conc <= CONCENTRATION_TOL
           and max(env_p, env_m) <= min(ENVELOPE_TOL, FROZEN_ENVELOPE))
     check(9, "two-point concentration and envelopes", ok,

@@ -1,15 +1,14 @@
 """Conservation functionals, coarse-graining, norms, measure moments."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biphase1d.diagnostics import (CoarseFields, coarse_grain, compare_fields,
-                                   estimate_alpha_meso, total_energy,
-                                   total_mass, two_point_structure,
-                                   young_moment)
+from biphase1d.diagnostics import (coarse_grain, compare_fields, estimate_alpha_meso,
+                                   total_energy, total_mass, young_moment)
 from biphase1d.materials import MaterialPair, PowerLaw
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
 from biphase1d.stepping import StaggeredGrid
@@ -159,10 +158,7 @@ class TestCompare:
 
     def test_constant_offset_l1(self):
         cf = coarse_grain(alternating_state(), 4)
-        shifted = CoarseFields(K=cf.K, centers=cf.centers, window_len=cf.window_len,
-                               alpha_hat=cf.alpha_hat, rho_hat=cf.rho_hat + 0.3,
-                               rho_plus_hat=cf.rho_plus_hat,
-                               rho_minus_hat=cf.rho_minus_hat, u_hat=cf.u_hat)
+        shifted = replace(cf, rho_hat=cf.rho_hat + 0.3)
         norms = compare_fields(shifted, cf)
         assert np.isclose(norms["rho_hat"]["l1"], 0.3, rtol=1e-13)
         assert np.isclose(norms["rho_hat"]["linf"], 0.3, rtol=1e-13)
@@ -172,13 +168,11 @@ class TestCompare:
         base = coarse_grain(alternating_state(), 4)
 
         def randomized():
-            return CoarseFields(K=base.K, centers=base.centers,
-                                window_len=base.window_len,
-                                alpha_hat=rng.uniform(0, 1, 4),
-                                rho_hat=rng.uniform(0.5, 3, 4),
-                                rho_plus_hat=rng.uniform(0.5, 3, 4),
-                                rho_minus_hat=rng.uniform(0.5, 3, 4),
-                                u_hat=rng.normal(size=4))
+            return replace(base, alpha_hat=rng.uniform(0, 1, 4),
+                           rho_hat=rng.uniform(0.5, 3, 4),
+                           rho_plus_hat=rng.uniform(0.5, 3, 4),
+                           rho_minus_hat=rng.uniform(0.5, 3, 4),
+                           u_hat=rng.normal(size=4))
 
         for _ in range(5):
             a, b, c = randomized(), randomized(), randomized()
@@ -238,9 +232,9 @@ class TestYoungMoments:
 
 class TestTwoPointStructure:
     def test_exact_two_point_field(self):
-        rep = two_point_structure(alternating_state(), 4)
-        assert np.allclose(rep.mean_plus, 4.0, rtol=1e-13)
-        assert np.allclose(rep.mean_minus, 0.8, rtol=1e-13)
+        rep = coarse_grain(alternating_state(), 4)
+        assert np.allclose(rep.rho_plus_hat, 4.0, rtol=1e-13)
+        assert np.allclose(rep.rho_minus_hat, 0.8, rtol=1e-13)
         assert np.allclose(rep.var_plus, 0.0, atol=1e-12)
         assert np.allclose(rep.var_minus, 0.0, atol=1e-12)
         assert np.allclose(rep.gap, 3.2, rtol=1e-13)
@@ -249,7 +243,7 @@ class TestTwoPointStructure:
     def test_initial_riemann_gap_degenerate(self):
         # equal densities in both phases: zero variance, zero gap, and the
         # ratio reported as degenerate (NaN) rather than dividing by ~0
-        rep = two_point_structure(init_meso_riemann(1000), 4)
+        rep = coarse_grain(init_meso_riemann(1000), 4)
         assert np.allclose(rep.var_plus, 0.0, atol=1e-12)
         assert np.all(np.isnan(rep.concentration) | (rep.gap >= 1e-12))
         inside = np.abs(rep.centers - 0.5) < 0.1
@@ -258,5 +252,5 @@ class TestTwoPointStructure:
     def test_single_phase_window_reports_absent_side(self):
         s = alternating_state()
         s.c = np.ones(s.grid.J)
-        rep = two_point_structure(s, 4)
-        assert np.all(np.isnan(rep.mean_minus))
+        rep = coarse_grain(s, 4)
+        assert np.all(np.isnan(rep.rho_minus_hat))

@@ -2,8 +2,10 @@
 every check for a positive scalar also rejects infinity.  The phase
 pressures that p_eff and relaxation_rhs take are checked like the
 densities the pressure laws take: NaN and negative values are rejected.
-The cyclic solve fails on a NaN in any of its four arrays with a
-SingularSystemError, as its solution is then not finite.  A step's
+The cyclic solve fails on a NaN, inf or -inf in any of its four arrays
+with a SingularSystemError: a non-finite matrix coefficient leaves a
+non-finite pivot in the factorization, and a non-finite right-hand side
+leaves a non-finite solution.  A step's
 dt_limit must be > 0 and finite; step_macro alone accepts an infinite
 one where its relaxation bound is finite, as that still caps the step."""
 
@@ -99,14 +101,30 @@ def test_step_macro_accepts_infinite_dt_limit_under_its_relaxation_bound():
     assert 0 < state.t < INF
 
 
-@pytest.mark.parametrize("entry", (0, 2, 4), ids=("first", "middle", "last"))
-@pytest.mark.parametrize("array", range(4), ids=("sub", "diag", "sup", "rhs"))
-def test_nan_in_the_cyclic_system_is_rejected(array, entry):
+def solve_with(value, array, entry):
     # diagonally dominant, n = 5
     system = [np.full(5, -1.0), np.full(5, 3.0), np.full(5, -1.0), np.arange(1.0, 6.0)]
-    system[array][entry] = NAN
+    system[array][entry] = value
+    return solve_cyclic_tridiagonal(*system)
+
+
+ENTRIES = pytest.mark.parametrize("entry", (0, 2, 4), ids=("first", "middle", "last"))
+ARRAYS = pytest.mark.parametrize("array", range(4), ids=("sub", "diag", "sup", "rhs"))
+
+
+@ENTRIES
+@ARRAYS
+def test_nan_in_the_cyclic_system_is_rejected(array, entry):
     with pytest.raises(SingularSystemError):
-        solve_cyclic_tridiagonal(*system)
+        solve_with(NAN, array, entry)
+
+
+@ENTRIES
+@ARRAYS
+@pytest.mark.parametrize("value", (INF, -INF), ids=("inf", "-inf"))
+def test_infinity_in_the_cyclic_system_is_rejected(value, array, entry):
+    with pytest.raises(SingularSystemError):
+        solve_with(value, array, entry)
 
 
 NEGATIVE = np.array([1.0, -1e-300, 1.0, 1.0])
