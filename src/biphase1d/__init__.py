@@ -9,7 +9,7 @@ conservation laws and measures how well the two descriptions agree.
 
 from .diagnostics import (CoarseFields, DiagnosticsRecord, coarse_grain,
                           compare_fields, estimate_alpha_meso, snapshot,
-                          total_energy, total_mass, young_moment)
+                          young_moment)
 from .errors import ConfigError, SingularSystemError, SolverError, StepFailure
 from .macro import MacroState, init_macro_riemann, run_macro, step_macro
 from .materials import (WEIGHTING_CROSS, WEIGHTING_OWN, WEIGHTINGS,
@@ -24,8 +24,7 @@ from .cli import PRESETS, RunConfig, parse_config, run_experiment, run_sweep
 
 __all__ = [
     "CoarseFields", "DiagnosticsRecord", "coarse_grain", "compare_fields",
-    "estimate_alpha_meso", "snapshot", "total_energy", "total_mass",
-    "young_moment",
+    "estimate_alpha_meso", "snapshot", "young_moment",
     "ConfigError", "SingularSystemError", "SolverError", "StepFailure",
     "MacroState", "init_macro_riemann", "run_macro", "step_macro",
     "WEIGHTING_CROSS", "WEIGHTING_OWN", "WEIGHTINGS", "MaterialPair",

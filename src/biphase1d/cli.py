@@ -85,9 +85,9 @@ def _as_int(raw, key, minimum):
     return int(val)
 
 
-def _as_float(raw, key, minimum=None, strict=False):
+def _as_float(raw, key, minimum, strict=False):
     val = float(_as_number(raw, key, "number"))
-    if minimum is not None and (val < minimum or (strict and val == minimum)):
+    if val < minimum or (strict and val == minimum):
         op = ">" if strict else ">="
         raise ConfigError(f"key {key!r}: must be {op} {minimum}, got {val}")
     return val
@@ -121,18 +121,15 @@ def _build_config(raw):
     if coarse_K >= cells:
         raise ConfigError(f"key 'coarse_K': must be < cells, got {coarse_K} >= {cells}")
 
-    try:
-        mat = MaterialPair(
-            law_plus=PowerLaw(K=_as_float(merged, "K_plus", 0.0, strict=True),
-                              gamma=_as_float(merged, "gamma_plus", 1.0)),
-            law_minus=PowerLaw(K=_as_float(merged, "K_minus", 0.0, strict=True),
-                               gamma=_as_float(merged, "gamma_minus", 1.0)),
-            mu_plus=_as_float(merged, "mu_plus", 0.0, strict=True),
-            mu_minus=_as_float(merged, "mu_minus", 0.0, strict=True),
-        )
-        dt_max = _as_float(merged, "dt_max", 0.0, strict=True)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mat = MaterialPair(
+        law_plus=PowerLaw(K=_as_float(merged, "K_plus", 0.0, strict=True),
+                          gamma=_as_float(merged, "gamma_plus", 1.0)),
+        law_minus=PowerLaw(K=_as_float(merged, "K_minus", 0.0, strict=True),
+                           gamma=_as_float(merged, "gamma_minus", 1.0)),
+        mu_plus=_as_float(merged, "mu_plus", 0.0, strict=True),
+        mu_minus=_as_float(merged, "mu_minus", 0.0, strict=True),
+    )
+    dt_max = _as_float(merged, "dt_max", 0.0, strict=True)
 
     output_dir = merged["output_dir"]
     if not isinstance(output_dir, str) or not output_dir or "\0" in output_dir:
@@ -305,7 +302,7 @@ def _execute(config):
         fh.write("\n")
     # looked up per call, so a runner replaced on this module is the one run
     runners = {"meso": run_meso, "macro": run_macro}
-    results = {}
+    states = {}
     try:
         for scheme, files in _FIELD_FILES.items():
             if config.scheme not in (scheme, "both"):
@@ -314,7 +311,7 @@ def _execute(config):
             for suffix, columns in files:
                 write_fields(state, out / f"{scheme}_{suffix}.dat", columns=columns)
             write_diagnostics(records, out / f"{scheme}_diagnostics.dat")
-            results[scheme] = (state, records)
+            states[scheme] = state
     except SolverError as exc:
         records = exc.diagnostics.get("records")
         if records:
@@ -322,14 +319,14 @@ def _execute(config):
         with open(out / "FAILED", "w", newline="\n") as fh:
             fh.write(f"{exc}\n")
         raise
-    if config.scheme == "both":
-        coarse_meso = diagnostics.coarse_grain(results["meso"][0], config.coarse_K)
-        coarse_macro = diagnostics.coarse_grain(results["macro"][0], config.coarse_K)
-        norms = diagnostics.compare_fields(coarse_meso, coarse_macro)
-        _write_comparison(out, coarse_meso, coarse_macro, norms, config,
-                          results["macro"][0].clamp_events)
-        results["norms"] = norms
-    return results
+    if config.scheme != "both":
+        return None
+    coarse_meso = diagnostics.coarse_grain(states["meso"], config.coarse_K)
+    coarse_macro = diagnostics.coarse_grain(states["macro"], config.coarse_K)
+    norms = diagnostics.compare_fields(coarse_meso, coarse_macro)
+    _write_comparison(out, coarse_meso, coarse_macro, norms, config,
+                      states["macro"].clamp_events)
+    return norms
 
 
 def run_experiment(config):
@@ -364,7 +361,7 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
         (out / "sweep.dat").unlink(missing_ok=True)
     rows = []
     for config in configs:
-        norms = _execute(config)["norms"]
+        norms = _execute(config)
         rows.append((config.cells, norms["rho_hat"]["rel_l1"], norms["u_hat"]["rel_l1"],
                      norms["alpha_hat"]["rel_l1"]))
     _write_table(out / "sweep.dat", ("cells", "rel_l1_rho", "rel_l1_u", "rel_l1_alpha"),

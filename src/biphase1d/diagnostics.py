@@ -56,36 +56,27 @@ class CoarseFields:
     concentration: np.ndarray
 
 
-def total_mass(state):
-    """Sum of cell masses; for the homogenized state, of the phase masses."""
-    return float(np.sum(state.cell_mass))
+def snapshot(state, mat, dt_used):
+    """The conservation record of a state at its time ``state.t``.
 
-
-def total_energy(state, mat):
-    """(kinetic, internal, dissipated, total).
-
-    Kinetic energy lives on nodes, each carrying half the mass of each of
-    its two cells; internal energy is the mixture pressure potential at
-    the cell mixture density; the dissipated part is the state's
-    accumulated viscous integral.
+    Total mass is the sum of cell masses; for the homogenized state, of
+    the phase masses.  Kinetic energy lives on nodes, each carrying half
+    the mass of each of its two cells; internal energy is the mixture
+    pressure potential at the cell mixture density; the dissipated part
+    is the state's accumulated viscous integral, and the total is the
+    sum of the three.
     """
     grid = state.grid
     kinetic = 0.5 * float(np.sum(node_mass(state.cell_mass) * np.asarray(state.u) ** 2))
     internal = float(np.sum(mixture_potential(state.weight, state.rho, mat) * grid.cell_dx))
-    total = kinetic + internal + state.dissipated
-    return kinetic, internal, state.dissipated, total
-
-
-def snapshot(state, mat, dt_used):
-    kinetic, internal, dissipated, total = total_energy(state, mat)
     rho_mix = state.rho
     return DiagnosticsRecord(
         t=state.t,
-        total_mass=total_mass(state),
+        total_mass=float(np.sum(state.cell_mass)),
         kinetic_energy=kinetic,
         internal_energy=internal,
-        dissipated=dissipated,
-        energy_total=total,
+        dissipated=state.dissipated,
+        energy_total=kinetic + internal + state.dissipated,
         rho_min=float(np.min(rho_mix)),
         rho_max=float(np.max(rho_mix)),
         dx_min=float(np.min(state.grid.cell_dx)),

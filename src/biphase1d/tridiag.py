@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import SingularSystemError
 
-_PIVOT_FLOOR = 1e-300
+_EPS = np.finfo(float).eps
 
 
 def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
@@ -63,9 +63,11 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
             f"singular cyclic tridiagonal system (non-finite pivot at row {idx})", index=idx)
     y, z = yz[:, 0], yz[:, 1]
 
-    vy = y[0] + (sub[0] / gamma) * y[-1]
-    vz = 1.0 + z[0] + (sub[0] / gamma) * z[-1]
-    if not np.isfinite(vz) or abs(vz) < _PIVOT_FLOOR:
+    c = sub[0] / gamma
+    vy = y[0] + c * y[-1]
+    vz = 1.0 + z[0] + c * z[-1]
+    # a singular A leaves 1 + v.z at the rounding of its terms, not at 0
+    if not np.isfinite(vz) or abs(vz) < n * _EPS * (1.0 + abs(z[0]) + abs(c * z[-1])):
         raise SingularSystemError("singular cyclic tridiagonal system "
                                   "(corner correction degenerate)", index=n - 1)
     x = y - (vy / vz) * z

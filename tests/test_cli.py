@@ -275,10 +275,19 @@ class TestSourceKinds:
 @pytest.mark.parametrize("text", [
     '{"cells": NaN}', '{"cells": 1e400}', '{"cadence": Infinity}',
     '{"t_end": NaN}', '{"t_end": Infinity}', '{"preset": []}',
+    '{"cells": 2.5}', '{"cells": %s}' % ("9" * 400),  # an int beyond the float range
 ])
 def test_nonfinite_numbers_and_nonstring_preset_are_config_errors(text, tmp_path, capsys):
     assert main(["run", text, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from biphase1d.diagnostics import (coarse_grain, compare_fields, estimate_alpha_meso,
-                                   total_energy, total_mass, young_moment)
+                                   snapshot, young_moment)
 from biphase1d.materials import MaterialPair, PowerLaw
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
 from biphase1d.stepping import StaggeredGrid
@@ -27,24 +27,26 @@ class TestMassAndEnergy:
     def test_riemann_mass_against_piecewise_integration(self):
         # 0.5 * 1/8 + 0.5 * 2 integrated piece by piece
         oracle = 0.25 * 0.125 + 0.5 * 2.0 + 0.25 * 0.125
-        assert np.isclose(total_mass(init_meso_riemann(1000)), oracle, rtol=1e-14)
+        assert np.isclose(snapshot(init_meso_riemann(1000), MAT1, 0.0).total_mass, oracle,
+                          rtol=1e-14)
 
     def test_uniform_unit_density(self):
         g = StaggeredGrid.uniform(10)
         s = MesoState(grid=g, u=np.zeros(10), cell_mass=g.cell_dx, c=np.ones(10))
-        assert np.isclose(total_mass(s), 1.0, rtol=1e-15)
+        assert np.isclose(snapshot(s, MAT1, 0.0).total_mass, 1.0, rtol=1e-15)
 
     def test_mass_unchanged_by_step(self):
         s = init_meso_riemann(64)
-        before = total_mass(s)
+        before = snapshot(s, MAT1, 0.0).total_mass
         s = step_meso(s, MAT1, dt_limit=1e-4)
-        assert np.isclose(total_mass(s), before, rtol=1e-13)
+        assert np.isclose(snapshot(s, MAT1, 0.0).total_mass, before, rtol=1e-13)
 
     def test_rest_unit_density_has_zero_energy(self):
         g = StaggeredGrid.uniform(10)
         s = MesoState(grid=g, u=np.zeros(10), cell_mass=g.cell_dx, c=np.zeros(10))
-        kin, internal, diss, tot = total_energy(s, MAT1)
-        assert kin == 0.0 and internal == 0.0 and diss == 0.0 and tot == 0.0
+        r = snapshot(s, MAT1, 0.0)
+        assert r.kinetic_energy == 0.0 and r.internal_energy == 0.0
+        assert r.dissipated == 0.0 and r.energy_total == 0.0
 
     def test_riemann_internal_energy_against_quadrature(self):
         def potential(law, rho):
@@ -56,15 +58,14 @@ class TestMassAndEnergy:
             # each plateau is half phase + and half phase - by length
             oracle += length * 0.5 * (potential(MAT1.law_plus, rho)
                                       + potential(MAT1.law_minus, rho))
-        _, internal, _, _ = total_energy(init_meso_riemann(1000), MAT1)
+        internal = snapshot(init_meso_riemann(1000), MAT1, 0.0).internal_energy
         assert np.isclose(internal, oracle, rtol=1e-10)
 
     def test_kinetic_energy_nonnegative(self):
         s = init_meso_riemann(64)
         for _ in range(3):
             s = step_meso(s, MAT1, dt_limit=1e-4)
-            kin, _, _, _ = total_energy(s, MAT1)
-            assert kin >= 0.0
+            assert snapshot(s, MAT1, 0.0).kinetic_energy >= 0.0
 
 
 class TestAlphaEstimate:
@@ -112,8 +113,8 @@ class TestCoarseGrain:
         for _ in range(5):
             s = step_meso(s, MAT1, dt_limit=1e-4)
         cf = coarse_grain(s, 7)
-        assert np.isclose(np.sum(cf.rho_hat * cf.window_len), total_mass(s),
-                          rtol=1e-12)
+        assert np.isclose(np.sum(cf.rho_hat * cf.window_len),
+                          snapshot(s, MAT1, 0.0).total_mass, rtol=1e-12)
         assert np.isclose(np.sum(cf.window_len), 1.0, atol=1e-12)
 
     def test_mixture_identity(self):
@@ -126,7 +127,7 @@ class TestCoarseGrain:
         s = alternating_state()
         cf = coarse_grain(s, 1)
         assert np.isclose(cf.alpha_hat[0], np.sum(s.c * s.grid.cell_dx), rtol=1e-13)
-        assert np.isclose(cf.rho_hat[0], total_mass(s), rtol=1e-13)
+        assert np.isclose(cf.rho_hat[0], snapshot(s, MAT1, 0.0).total_mass, rtol=1e-13)
 
     def test_velocity_average_of_linear_interpolant(self):
         # u(x) = x at the nodes averages to the window centers, except in
@@ -206,7 +207,7 @@ class TestYoungMoments:
     def test_density_moment_is_total_mass(self):
         s = init_meso_riemann(100)
         got = young_moment(s, lambda x, xi, eta: xi)
-        assert np.isclose(got, total_mass(s), rtol=1e-14)
+        assert np.isclose(got, snapshot(s, MAT1, 0.0).total_mass, rtol=1e-14)
 
     def test_macro_state_enters_with_its_volume_fraction(self):
         from biphase1d.macro import init_macro_riemann, step_macro

@@ -17,4 +17,4 @@ def library_example():
 def test_library_use_example_runs(capsys):
     exec(compile(library_example(), str(README), "exec"), {})
     printed = capsys.readouterr().out.split()
-    assert len(printed) == 2 and all(math.isfinite(float(v)) for v in printed)
+    assert len(printed) == 3 and all(math.isfinite(float(v)) for v in printed)

@@ -46,6 +46,10 @@ class TestGrid:
         with pytest.raises(ValueError, match="widths"):
             StaggeredGrid([0.1, 0.5, 1.3])
 
+    def test_too_few_interfaces_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 interface positions"):
+            StaggeredGrid([0.5, 1.0])
+
 
 class TestNodeDensity:
     """The node mass is the width-weighted mean density of the node's two

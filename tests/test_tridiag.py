@@ -69,6 +69,12 @@ def test_singular_system_reports_index():
     with pytest.raises(SingularSystemError) as excinfo:
         solve_cyclic_tridiagonal(np.zeros(4), np.zeros(4), np.zeros(4), np.ones(4))
     assert excinfo.value.index is not None
+    # the periodic Laplacian: the corner correction cancels only to rounding
+    for n in (3, 64, 1000, 100_000):
+        with pytest.raises(SingularSystemError) as excinfo:
+            solve_cyclic_tridiagonal(-np.ones(n), 2 * np.ones(n), -np.ones(n),
+                                     np.arange(n, dtype=float))
+        assert excinfo.value.index == n - 1
 
 
 def test_mismatched_lengths_rejected():
