@@ -281,23 +281,34 @@ _OUTPUT_FILES = (("FAILED", "partial_diagnostics.dat", "comparison_windows.dat",
                          for suffix in (*(name for name, _ in files), "diagnostics", "coarse")))
 
 
+def _cannot_write(exc):
+    """The ConfigError for an output name that cannot be replaced, such as
+    one taken by a directory."""
+    return ConfigError(f"key 'output_dir': cannot write {str(exc.filename)!r}: "
+                       f"{exc.strerror}")
+
+
 def _execute(config):
     """Run the configured scheme(s) and write everything to
     config.output_dir; returns the comparison norms when both schemes ran.
     A SolverError propagates after leaving a FAILED marker and the records
     taken so far next to the outputs already written; every output an
     earlier run can have left there is deleted first, so no stale result
-    sits beside a new failure.  An output directory that cannot be created
-    is a ConfigError."""
+    sits beside a new failure.  An output directory that cannot be created,
+    or an output name in it that cannot be replaced, is a ConfigError."""
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"key 'output_dir': cannot create {str(out)!r}: "
                           f"{exc.strerror}") from None
-    for stale in _OUTPUT_FILES:
-        (out / stale).unlink(missing_ok=True)
-    with open(out / "config.json", "w", newline="\n") as fh:
+    try:
+        for stale in _OUTPUT_FILES:
+            (out / stale).unlink(missing_ok=True)
+        fh = open(out / "config.json", "w", newline="\n")
+    except OSError as exc:
+        raise _cannot_write(exc) from None
+    with fh:
         json.dump(config.raw, fh, indent=2, sort_keys=True)
         fh.write("\n")
     # looked up per call, so a runner replaced on this module is the one run
@@ -332,7 +343,8 @@ def _execute(config):
 def run_experiment(config):
     """Execute a config; returns the process exit status (0 ok, 1 solver
     failure).  Partial outputs are kept next to a FAILED marker.  An
-    output directory that cannot be created raises ConfigError."""
+    output directory that cannot be created, or an output name in it that
+    cannot be replaced, raises ConfigError."""
     try:
         _execute(config)
     except SolverError:
@@ -358,7 +370,10 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
                                                "output_dir": str(out / f"J{cells}")})
                for cells in cells_list]
     if out.is_dir():
-        (out / "sweep.dat").unlink(missing_ok=True)
+        try:
+            (out / "sweep.dat").unlink(missing_ok=True)
+        except OSError as exc:
+            raise _cannot_write(exc) from None
     rows = []
     for config in configs:
         norms = _execute(config)

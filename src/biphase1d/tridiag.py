@@ -9,12 +9,37 @@ The corners are removed with a rank-one correction, leaving two ordinary
 tridiagonal solves that share one LAPACK ``dgtsv`` factorization.
 """
 
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .errors import SingularSystemError
 
 _EPS = np.finfo(float).eps
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, loaded
+    without running ``scipy.linalg``'s package init: that init imports
+    numpy.f2py, numpy.testing, numpy.random and numpy.ma through scipy's
+    array-API layer, which biphase1d never uses, and would more than double
+    the package's import time and nearly double its RSS.
+    ``scipy.linalg.lapack`` re-exports this module's routines, so its
+    ``dgtsv`` is the same Fortran routine."""
+    linalg_dir = str(Path(scipy.__file__).parent / "linalg")
+    finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {linalg_dir}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgtsv = _load_flapack().dgtsv
 
 
 def solve_cyclic_tridiagonal(sub, diag, sup, rhs):

@@ -339,6 +339,20 @@ def test_uncreatable_output_dir_is_a_config_error(command, below, tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+@pytest.mark.parametrize("command, name", [("run", "FAILED"), ("run", "config.json"),
+                                            ("run", "meso_velocity.dat"),
+                                            ("sweep", "sweep.dat")])
+def test_output_name_taken_by_a_directory_is_a_config_error(command, name, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / name / "inner").mkdir(parents=True)
+    assert main([command, "test1", "--cells", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: key 'output_dir': cannot write {str(out / name)!r}: ")
+    assert err.count("\n") == 1
+    assert (out / name / "inner").is_dir()
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 @pytest.mark.parametrize("as_file", [False, True], ids=["inline", "file"])
 def test_deeply_nested_json_is_a_config_error(as_file, tmp_path, capsys):
     source = '{"a": ' + "[" * 100000

@@ -18,6 +18,19 @@ def test_import_loads_no_quadrature():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_skips_the_scipy_linalg_package_init():
+    # tridiag loads the extension scipy.linalg._flapack alone; the package
+    # init it skips would also import numpy.f2py and numpy.testing
+    env = {**os.environ, "PYTHONPATH": str(Path(biphase1d.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biphase1d; "
+         "print([m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing') "
+         "if m in sys.modules])"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in biphase1d.__all__ if not hasattr(biphase1d, name)]
     assert not missing, f"in __all__ but not in the package: {missing}"

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from conftest import dense_matrix, dense_solve, random_dominant_system
 
+from biphase1d import tridiag
 from biphase1d.errors import SingularSystemError
 from biphase1d.tridiag import solve_cyclic_tridiagonal
 
@@ -80,3 +82,30 @@ def test_singular_system_reports_index():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError, match="shape"):
         solve_cyclic_tridiagonal(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
+
+
+def _dgtsv_systems():
+    rng = np.random.default_rng(5)
+    sub, diag, sup, rhs = random_dominant_system(rng, 12)
+    yield "dominant, 1 rhs", sub[1:], diag, sup[:-1], rhs
+    yield "dominant, 2 rhs", sub[1:], diag, sup[:-1], np.column_stack([rhs, rhs[::-1]])
+    # |sub| > |diag| makes the elimination swap rows
+    yield "pivoting", 3 + rng.uniform(0, 1, 11), rng.uniform(-0.1, 0.1, 12), \
+        rng.uniform(-1, 1, 11), rng.uniform(-5, 5, 12)
+    diag = diag.copy()
+    diag[4] = 0.0
+    yield "singular", np.zeros(11), diag, np.zeros(11), rhs
+
+
+@pytest.mark.parametrize("name, dl, d, du, b", [pytest.param(*s, id=s[0])
+                                                 for s in _dgtsv_systems()])
+def test_loaded_dgtsv_is_bit_identical_to_scipy_linalg_lapack(name, dl, d, du, b):
+    ours = tridiag.dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    theirs = scipy.linalg.lapack.dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    assert len(ours) == len(theirs) == 5
+    for a, e in zip(ours[:4], theirs[:4]):
+        assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+    assert ours[4] == theirs[4]
+    if name == "pivoting":
+        assert np.any(ours[0] != 0.0)  # the second superdiagonal fill-in of a row swap
+    assert (ours[4] == 5) == (name == "singular")
