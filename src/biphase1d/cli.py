@@ -7,11 +7,13 @@ and LF line endings, so reruns of the same config are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,21 +195,173 @@ def _load_json(text):
 # ---------------------------------------------------------------------------
 # writers
 
-# rows formatted per `%` call: the text of one block stays a few MB at J=1e5
-_BLOCK_ROWS = 8192
+# rows formatted per _format_rows pass: a block's scratch arrays (about 100
+# KB each for 3 columns) stay cache-sized and a few MB in all, where whole-
+# table formatting would hold tens of MB at J=1e5; 8192 rows measured slower
+_BLOCK_ROWS = 4096
+
+# |v| the array path formats; with log10's miss and the rounding carry, their
+# decimal exponents X stay inside the tables' _X_MIN.._X_MAX, where neither
+# 10**(16 - X) nor the Veltkamp split of a value or a power overflows
+_ARRAY_MIN, _ARRAY_MAX = 1e-270, 1e270
+_X_MIN, _X_MAX = -272, 272
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+# Outside 0 <= 16 - X <= 22 the scaled value is within 5e-15 of exact (the
+# residual power's own rounding, two rounded terms under 20, and the omitted
+# 2**-106 of a product under 1e17).  That error cannot change the nearest
+# integer unless the value is this close to a tie n + 1/2; such a value takes
+# Python's "%.17g".
+_CERTIFY = 1e-12
+# Bytes per value: sign, the "0.000" of -4 <= X < 0, the 17 digits each
+# followed by a point slot, the exponent, and the separator in the last byte.
+_FIELD = 48
+
+
+def _split(x):
+    """Veltkamp's split: x == hi + lo exactly, each with at most 26 bits."""
+    c = _VELTKAMP * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _format_tables():
+    """Lookup tables of _format_rows, built on the first write.
+
+    Per decimal exponent X: 10**(16 - X) as its nearest double ``power``
+    (with its Veltkamp halves) plus the correctly rounded residual
+    ``residual`` (0 where the power is exact); the largest distance from an
+    integer that certifies the rounding (1, i.e. any, where exact); the head
+    word ("0." and zeros for -4 <= X < 0), the tail word ("e-05" outside
+    -4 <= X < 17) and the digit the point follows (-1: the head has it).
+    Per 4-digit group: its digits, each followed by an empty point slot, as
+    one word, plain (rows 0-9999) and with trailing zeros blanked (+10000).
+    """
+    power, residual, head, tail, point = [], [], [], [], []
+    for x in range(_X_MIN, _X_MAX + 1):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den  # int / int rounds correctly
+        n, d = hi.as_integer_ratio()
+        power.append(hi)
+        residual.append((num * d - n * den) / (den * d))
+        fixed = -4 <= x < 17
+        head.append(b"\0" + b"0." + b"0" * (-x - 1) if fixed and x < 0 else b"")
+        tail.append(b"" if fixed else b"e%+03d" % x)
+        point.append((x if x >= 0 else -1) if fixed else 0)
+    power, residual = np.array(power), np.array(residual)
+
+    def words(strings):
+        return np.array(strings, dtype="S8").view(np.uint64)
+
+    g = np.arange(10000, dtype=np.int16)
+    digits = (g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
+    quads = np.zeros((20000, 8), np.uint8)
+    quads[:10000, ::2] = digits
+    quads[10000:, ::2] = np.where(trailing, 0, digits)
+    return SimpleNamespace(
+        power=power, power_halves=_split(power), residual=residual,
+        certified=np.where(residual == 0.0, 1.0, 0.5 - _CERTIFY),
+        head=words(head), tail=words(tail), point=np.array(point),
+        lead=words([b"\0" * 6 + bytes([48 + d]) for d in range(10)]),
+        quads=quads.view(np.uint64).ravel())
+
+
+def _scaled(a, X):
+    """a * 10**(16 - X) as p + r, p the rounded product, and where that sum
+    certainly rounds to the nearest integer of the exact product."""
+    t = _format_tables()
+    k = X - _X_MIN
+    p = a * t.power.take(k)
+    ah, al = _split(a)
+    bh, bl = t.power_halves[0].take(k), t.power_halves[1].take(k)
+    # Dekker's two-product: a * power == p + (the bracket), exactly
+    r = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * t.residual.take(k)
+    return p, r, np.abs(r - np.rint(r)) < t.certified.take(k)
+
+
+def _format_rows(block):
+    """The "%.17g" rows of a 2-D float block, values space-separated and
+    rows ended by LF: byte for byte what np.savetxt writes.
+
+    A value's 17 significant digits are round(|v| * 10**(16 - X)), half to
+    even, for its decimal exponent X.  _scaled forms that product as a
+    double-double, and int64 arithmetic and lookup tables expand it into a
+    fixed field of bytes whose NULs are dropped at the end.  The values it
+    cannot certify (0, nan, inf, |v| outside _ARRAY_MIN.._ARRAY_MAX, and
+    products within _CERTIFY of a tie) take Python's "%.17g".
+    """
+    v = block.ravel()
+    n = v.size
+    a = np.abs(v)
+    ok = (a >= _ARRAY_MIN) & (a <= _ARRAY_MAX)
+    a[~ok] = 1.0
+    X = np.floor(np.log10(a)).astype(np.intp)
+    p, r, sure = _scaled(a, X)
+    # where log10 missed, the product leaves [1e16, 1e17): move X by one
+    low = (p - 1e16) + r < 0
+    high = (p - 1e17) + r >= 0
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        X[fix] += high[fix].astype(np.intp) - low[fix]
+        p[fix], r[fix], sure[fix] = _scaled(a[fix], X[fix])
+        sure[fix] &= ((p[fix] - 1e16) + r[fix] >= 0) & ((p[fix] - 1e17) + r[fix] < 0)
+    # p >= 2**53 is an even integer, so rint's ties to even round p + r so too
+    D = p.astype(np.int64) + np.rint(r).astype(np.int64)
+    fallback = np.flatnonzero(~(ok & sure))
+    D[fallback] = 10 ** 16
+    top = D == 10 ** 17  # rounded up to the next power of ten
+    D[top] = 10 ** 16
+    X += top
+
+    t = _format_tables()
+    k = X - _X_MIN
+    first9 = D // 10 ** 8
+    last8 = D - first9 * 10 ** 8
+    d0 = first9 // 10 ** 8
+    next8 = first9 - d0 * 10 ** 8
+    g1, g3 = next8 // 10 ** 4, last8 // 10 ** 4
+    groups = (g1, next8 - g1 * 10 ** 4, g3, last8 - g3 * 10 ** 4)
+    words = np.empty((n, _FIELD // 8), np.uint64)
+    words[:, 0] = t.head.take(k) | t.lead.take(d0)
+    zeros_after = True  # a group's trailing zeros are blanked if all later groups are 0
+    for i in (3, 2, 1, 0):
+        words[:, i + 1] = t.quads.take(groups[i] + 10000 * zeros_after)
+        zeros_after = zeros_after & (groups[i] == 0)
+    words[:, 5] = t.tail.take(k)
+
+    text = words.view(np.uint8)
+    text[:, 0] = 45 * (v < 0)  # "-"
+    # the point takes the slot after digit j (byte 2j + 7) if a digit follows
+    j = t.point.take(k)
+    flat = text.ravel()
+    slot = np.arange(7, n * _FIELD, _FIELD) + 2 * j
+    flat[slot[(j >= 0) & (flat.take(slot + 1) != 0)]] = 46  # "."
+    # in fixed notation an integer digit blanked as a trailing zero is a "0"
+    short = np.flatnonzero((j > 0) & (flat.take(slot - 1) == 0))
+    if short.size:
+        digits = text[short, 6:40:2]
+        digits[(digits == 0) & (np.arange(17) <= j[short, None])] = 48
+        text[short, 6:40:2] = digits
+    if fallback.size:
+        text[fallback] = 0
+        text[fallback, :24] = np.array([b"%.17g" % x for x in v[fallback].tolist()],
+                                       dtype="S24").view(np.uint8).reshape(-1, 24)
+    text = text.reshape(block.shape + (_FIELD,))
+    text[:, :, -1] = 32  # " "
+    text[:, -1, -1] = 10  # "\n"
+    return text.tobytes().translate(None, b"\0")
 
 
 def _write_table(path, names, columns):
     """Write the columns as a "# name ..." header and one "%.17g" row per
-    line, the bytes np.savetxt writes, formatting a block of rows at once
-    instead of one row per Python-level call."""
-    table = np.column_stack(columns)
-    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# " + " ".join(names) + "\n")
+    line, the bytes np.savetxt writes, formatted by _format_rows one block
+    of _BLOCK_ROWS rows at a time."""
+    table = np.column_stack(columns).astype(float, copy=False)
+    with open(path, "wb") as fh:
+        fh.write(("# " + " ".join(names) + "\n").encode())
         for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(table[start:start + _BLOCK_ROWS]))
 
 
 def write_fields(state, path, columns):

@@ -75,10 +75,19 @@ def _check_fraction(w, name):
     return w
 
 
+def _by_color(c, plus, minus):
+    """c*plus + (1-c)*minus, except that a pure cell (c in {0, 1}) takes
+    its own phase's value, so an overflowing law of the absent phase cannot
+    turn it into 0 * inf = NaN."""
+    mixed = c * plus + (1.0 - c) * minus
+    return np.where(c == 1.0, plus, np.where(c == 0.0, minus, mixed))
+
+
 def mixture_pressure(c, rho, mat):
-    """Sharp-interface mixture pressure c*p_+(rho) + (1-c)*p_-(rho)."""
+    """Sharp-interface mixture pressure c*p_+(rho) + (1-c)*p_-(rho); a pure
+    cell reads only its own phase's law."""
     c = _check_fraction(c, "color")
-    return c * mat.law_plus.pressure(rho) + (1.0 - c) * mat.law_minus.pressure(rho)
+    return _by_color(c, mat.law_plus.pressure(rho), mat.law_minus.pressure(rho))
 
 
 def mixture_viscosity(c, mat):
@@ -88,15 +97,10 @@ def mixture_viscosity(c, mat):
 
 
 def mixture_potential(c, rho, mat):
-    """Pressure potential of the mixture, affine in c like the pressure.
-
-    A pure cell (c in {0, 1}) takes its own phase's potential, so an
-    overflowing law of the absent phase cannot turn it into 0 * inf = NaN.
-    """
+    """Pressure potential of the mixture, affine in c like the pressure; a
+    pure cell reads only its own phase's law."""
     c = _check_fraction(c, "color")
-    phi_plus, phi_minus = mat.law_plus.potential(rho), mat.law_minus.potential(rho)
-    mixed = c * phi_plus + (1.0 - c) * phi_minus
-    return np.where(c == 1.0, phi_plus, np.where(c == 0.0, phi_minus, mixed))
+    return _by_color(c, mat.law_plus.potential(rho), mat.law_minus.potential(rho))
 
 
 def _check_phase_pressures(p_plus, p_minus):

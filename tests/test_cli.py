@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -11,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biphase1d import stepping
-from biphase1d.cli import (_BLOCK_ROWS, PRESETS, _write_table, main, parse_config,
-                           run_experiment, run_sweep, write_diagnostics, write_fields)
+from biphase1d.cli import (_ARRAY_MAX, _ARRAY_MIN, _BLOCK_ROWS, PRESETS, _write_table, main,
+                           parse_config, run_experiment, run_sweep, write_diagnostics,
+                           write_fields)
 from biphase1d.diagnostics import DiagnosticsRecord
 from biphase1d.errors import ConfigError
 from biphase1d.meso import MesoState, init_meso_riemann
@@ -364,9 +366,16 @@ def test_deeply_nested_json_is_a_config_error(as_file, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# values whose text is easiest to get wrong: non-finite, signed zero, subnormal, huge
+# values whose text is easiest to get wrong: non-finite, signed zero, subnormal, huge;
+# the exact tie 1e15 + 0.25 (printed ...0.2); where the notation switches; around
+# 2**53 and 1e17; the first values inside and outside the array path's range; and
+# every power of ten from 1e-30 to 1e30 with both neighbours
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
-           1e300, -1e300, 1.0 / 3.0)
+           1e300, -1e300, 1.0 / 3.0,
+           1e15 + 0.25, 9.9999999999999995e-05, 1e-04, 1e16, 1e17 - 16, 2.0**53, 2.0**53 + 2,
+           _ARRAY_MIN, np.nextafter(_ARRAY_MIN, 0), _ARRAY_MAX, np.nextafter(_ARRAY_MAX, np.inf),
+           *(y for k in range(-30, 31) for x in [float(f"1e{k}")]
+             for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))))
 table_values = st.one_of(st.sampled_from(SPECIAL), st.floats())
 
 
@@ -395,3 +404,21 @@ def test_table_writer_block_edges(rows):
     x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     x[::7] = np.resize(SPECIAL, x[::7].size)
     assert_writes_savetxt_bytes(("x", "y", "z"), [x, x[::-1], np.arange(rows) / 3.0])
+
+
+def test_table_writer_random_bit_patterns():
+    bits = np.random.default_rng(21).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert_writes_savetxt_bytes(("x", "y"), list(bits.view(np.float64).reshape(-1, 2).T))
+
+
+def test_table_writer_memory_stays_per_block(tmp_path):
+    # the writer holds one block's scratch at a time, not the whole table's text
+    columns = list(np.random.default_rng(0).standard_normal((100_000, 3)).T)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _write_table(tmp_path / "t.dat", ("a", "b", "c"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8e6

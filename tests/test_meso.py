@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biphase1d.diagnostics import coarse_grain, snapshot
-from biphase1d.materials import MaterialPair, PowerLaw
+from biphase1d.materials import MaterialPair, PowerLaw, mixture_pressure
 from biphase1d.meso import MesoState, init_meso_riemann, run_meso, step_meso
 from biphase1d.stepping import StaggeredGrid
 
@@ -74,6 +74,20 @@ class TestStep:
         assert np.array_equal(s2.rho, s.rho)
         assert np.array_equal(s2.grid.node_x, grid.node_x)
         assert s2.t > 0
+
+    def test_pure_cell_reads_only_its_own_pressure_law(self):
+        # p_-(2) = 2**1100 overflows: a + cell at rho 2 keeps p_+(2) = 2, not 1*2 + 0*inf
+        mat = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 1100.0), 0.1, 0.1)
+        grid = StaggeredGrid.uniform(8)
+        c = np.tile([1.0, 0.0], 4)
+        rho = np.where(c == 1.0, 2.0, 0.5)
+        s = MesoState(grid=grid, u=np.zeros(8), cell_mass=rho * grid.cell_dx, c=c)
+        with np.errstate(over="ignore", invalid="ignore"):  # as run_scheme steps
+            assert mixture_pressure(s.c, s.rho, mat).tolist() == [2.0, 0.0] * 4
+            s2 = step_meso(s, mat, dt_limit=1e-3)
+            own = np.where(c == 1.0, mat.law_plus.pressure(s2.rho), mat.law_minus.pressure(s2.rho))
+            assert np.array_equal(mixture_pressure(s2.c, s2.rho, mat), own)
+        assert s2.t == 1e-3 and np.isfinite(s2.u).all()
 
     def test_outflow_from_the_dense_plateau(self):
         # the high-pressure middle expands: leftward flow at x ~ 1/4,
