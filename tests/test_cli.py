@@ -398,7 +398,8 @@ def test_table_writer_matches_savetxt(table):
 
 
 @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                  2 * _BLOCK_ROWS + 1])
+                                  2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1,
+                                  4 * _BLOCK_ROWS + 1])
 def test_table_writer_block_edges(rows):
     rng = np.random.default_rng(rows)
     x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
