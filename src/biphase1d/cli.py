@@ -356,12 +356,17 @@ def _format_rows(block):
 def _write_table(path, names, columns):
     """Write the columns as a "# name ..." header and one "%.17g" row per
     line, the bytes np.savetxt writes, formatted by _format_rows one block
-    of _BLOCK_ROWS rows at a time."""
-    table = np.column_stack(columns).astype(float, copy=False)
+    of _BLOCK_ROWS rows at a time.  The columns are never stacked whole:
+    each block is copied into one reused float buffer."""
+    rows = len(columns[0])
+    buf = np.empty((min(rows, _BLOCK_ROWS), len(columns)))
     with open(path, "wb") as fh:
         fh.write(("# " + " ".join(names) + "\n").encode())
-        for start in range(0, len(table), _BLOCK_ROWS):
-            fh.write(_format_rows(table[start:start + _BLOCK_ROWS]))
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = buf[:min(_BLOCK_ROWS, rows - start)]
+            for j, col in enumerate(columns):
+                block[:, j] = col[start:start + _BLOCK_ROWS]
+            fh.write(_format_rows(block))
 
 
 def write_fields(state, path, columns):

@@ -5,7 +5,7 @@ Each cell carries the two phase masses as Lagrangian constants; the phase
 densities are recovered from the evolving phase volumes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,10 +69,23 @@ def init_macro_riemann(J):
 
 def _phase_density(mass, fraction, dx, rho_old):
     """Phase density mass / (fraction * dx), frozen at rho_old where the
-    phase volume vanishes; also returns how many such cells hold mass."""
+    phase volume vanishes; also returns how many such cells hold mass.
+    The density is an ndarray, as np.where returns; no np.where pass runs
+    when every phase volume is above ALPHA_GUARD."""
+    if fraction.min(initial=np.inf) > ALPHA_GUARD:
+        return np.asarray(mass / (fraction * dx)), 0
     ok = fraction > ALPHA_GUARD
     rho = np.where(ok, mass / (np.where(ok, fraction, 1.0) * dx), rho_old)
     return rho, int(np.count_nonzero(~ok & (mass > 0)))
+
+
+def _clamp(alpha_raw):
+    """alpha_raw clipped to [0, 1], and how many entries that moved; no pass
+    when every entry lies in (0, 1], as a zero of either sign takes the clip."""
+    if alpha_raw.min(initial=np.inf) > 0 and alpha_raw.max(initial=-np.inf) <= 1:
+        return alpha_raw, 0
+    alpha_new = alpha_raw.clip(0.0, 1.0)
+    return alpha_new, int(np.count_nonzero(alpha_new != alpha_raw))
 
 
 def step_macro(state, mat, weighting, dt_limit):
@@ -118,20 +131,19 @@ def step_macro(state, mat, weighting, dt_limit):
     out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
                           dt_limit=cap, accept=increment_within_bound)
 
-    alpha_raw = state.alpha + d_alpha
-    alpha_new = alpha_raw.clip(0.0, 1.0)
-    clamps = int(np.count_nonzero(alpha_new != alpha_raw))
+    alpha_new, clamps = _clamp(state.alpha + d_alpha)
     dx_new = out.grid.cell_dx
     rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus)
     rho_m, guards_m = _phase_density(state.mass_minus, 1.0 - alpha_new, dx_new,
                                      state.rho_minus)
 
-    return replace(state, grid=out.grid, u=out.u, alpha=alpha_new,
-                   rho_plus=rho_p, rho_minus=rho_m,
-                   t=state.t + out.dt_used,
-                   dissipated=state.dissipated + out.dissipation_increment,
-                   clamp_events=state.clamp_events + clamps,
-                   guard_events=state.guard_events + guards_p + guards_m)
+    return MacroState(grid=out.grid, u=out.u, alpha=alpha_new,
+                      mass_plus=state.mass_plus, mass_minus=state.mass_minus,
+                      rho_plus=rho_p, rho_minus=rho_m,
+                      t=state.t + out.dt_used,
+                      dissipated=state.dissipated + out.dissipation_increment,
+                      clamp_events=state.clamp_events + clamps,
+                      guard_events=state.guard_events + guards_p + guards_m)
 
 
 def run_macro(config):

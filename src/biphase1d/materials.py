@@ -7,6 +7,9 @@ written once, in ``homogenized``, on the shared denominator
 D = alpha*mu_- + (1-alpha)*mu_+: it checks its inputs once and evaluates
 them all, as the macro step does, and the public ``p_eff``, ``mu_eff``
 and ``relaxation_rhs`` are views of it.
+
+As in ``stepping``, each range check is one min or max reduction, which a
+NaN fails and an empty array passes.
 """
 
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ class PowerLaw:
 
     def pressure(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if not (rho >= 0).all():
+        if not rho.min(initial=np.inf) >= 0:
             raise ValueError("density must be >= 0")
         return self.K * rho**self.gamma
 
@@ -44,7 +47,7 @@ class PowerLaw:
         Accepts rho >= 0; the value at rho = 0 is the continuity limit 0.
         """
         rho = np.asarray(rho, dtype=float)
-        if not (rho >= 0).all():
+        if not rho.min(initial=np.inf) >= 0:
             raise ValueError("density must be >= 0")
         if self.gamma == 1:
             # rho*log(rho) -> 0 as rho -> 0+
@@ -69,10 +72,12 @@ class MaterialPair:
 
 
 def _check_fraction(w, name):
+    """w as a float array, and whether every entry lies inside (0, 1)."""
     w = np.asarray(w, dtype=float)
-    if not ((w >= 0) & (w <= 1)).all():
+    lo, hi = w.min(initial=np.inf), w.max(initial=-np.inf)
+    if not (lo >= 0 and hi <= 1):
         raise ValueError(f"{name} must lie in [0, 1]")
-    return w
+    return w, 0 < lo and hi < 1
 
 
 def _by_color(c, plus, minus):
@@ -86,27 +91,27 @@ def _by_color(c, plus, minus):
 def mixture_pressure(c, rho, mat):
     """Sharp-interface mixture pressure c*p_+(rho) + (1-c)*p_-(rho); a pure
     cell reads only its own phase's law."""
-    c = _check_fraction(c, "color")
+    c, _ = _check_fraction(c, "color")
     return _by_color(c, mat.law_plus.pressure(rho), mat.law_minus.pressure(rho))
 
 
 def mixture_viscosity(c, mat):
     """Sharp-interface mixture viscosity c*mu_+ + (1-c)*mu_-."""
-    c = _check_fraction(c, "color")
+    c, _ = _check_fraction(c, "color")
     return c * mat.mu_plus + (1.0 - c) * mat.mu_minus
 
 
 def mixture_potential(c, rho, mat):
     """Pressure potential of the mixture, affine in c like the pressure; a
     pure cell reads only its own phase's law."""
-    c = _check_fraction(c, "color")
+    c, _ = _check_fraction(c, "color")
     return _by_color(c, mat.law_plus.potential(rho), mat.law_minus.potential(rho))
 
 
 def _check_phase_pressures(p_plus, p_minus):
     p_plus = np.asarray(p_plus, dtype=float)
     p_minus = np.asarray(p_minus, dtype=float)
-    if not ((p_plus >= 0).all() and (p_minus >= 0).all()):
+    if not (p_plus.min(initial=np.inf) >= 0 and p_minus.min(initial=np.inf) >= 0):
         raise ValueError("phase pressures must be >= 0")
     return p_plus, p_minus
 
@@ -121,17 +126,20 @@ def homogenized(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
     weighting and the phase pressures, in that order; ``p_eff``,
     ``mu_eff`` and ``relaxation_rhs`` document the formulas.
     """
-    alpha = _check_fraction(alpha, "volume fraction")
+    alpha, all_mixed = _check_fraction(alpha, "volume fraction")
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
     p_p, p_m = _check_phase_pressures(p_plus, p_minus)
     one_minus = 1.0 - alpha
     denom = alpha * mat.mu_minus + one_minus * mat.mu_plus  # D, > 0 on [0, 1]
-    at_one, at_zero = alpha == 1.0, alpha == 0.0
 
     def pure_or(plus, minus, mixed):
-        """``plus`` where alpha == 1, ``minus`` where alpha == 0, else ``mixed``."""
-        return np.where(at_one, plus, np.where(at_zero, minus, mixed))
+        """``plus`` where alpha == 1, ``minus`` where alpha == 0, else
+        ``mixed``; an ndarray, as np.where returns, with no pass if no cell
+        is pure."""
+        if all_mixed:
+            return np.asarray(mixed)
+        return np.where(alpha == 1.0, plus, np.where(alpha == 0.0, minus, mixed))
 
     if weighting == WEIGHTING_CROSS:
         num = alpha * p_p * mat.mu_minus + one_minus * p_m * mat.mu_plus

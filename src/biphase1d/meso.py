@@ -4,7 +4,7 @@
 The run loop that the homogenized scheme shares lives here too.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +81,9 @@ def step_meso(state, mat, dt_limit):
     mu_cells = mixture_viscosity(state.c, mat)
     out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
                           dt_limit)
-    return replace(state, grid=out.grid, u=out.u,
-                   t=state.t + out.dt_used,
-                   dissipated=state.dissipated + out.dissipation_increment)
+    return MesoState(grid=out.grid, u=out.u, cell_mass=state.cell_mass, c=state.c,
+                     t=state.t + out.dt_used,
+                     dissipated=state.dissipated + out.dissipation_increment)
 
 
 def run_scheme(state, advance, config):

@@ -7,6 +7,9 @@ Node j is the interface at ``node_x[j]``, cell j is the interval ending
 there, so cell j+1 (mod J) lies to the node's right.  Node coordinates
 are kept unwrapped (strictly increasing); the torus seam is closed by the
 unit length.
+
+Each range check is one min or max reduction: a NaN carries through it and
+fails the comparison, and its ``initial`` lets an empty array pass.
 """
 
 from dataclasses import dataclass, field
@@ -71,7 +74,7 @@ class StaggeredGrid:
             raise ValueError("grid needs at least 3 interface positions")
         dx = back_difference(self.node_x)
         dx[0] += self.length
-        if not (dx > 0).all():
+        if not dx.min(initial=np.inf) > 0:
             raise ValueError("cell widths must all be > 0")
         self.cell_dx = dx
 
@@ -107,7 +110,9 @@ def node_mass(cell_mass):
     must be > 0, as a negative cell between heavier neighbours still
     leaves both of its node masses positive."""
     m = np.asarray(cell_mass, dtype=float)
-    if not (m > 0).all():
+    if m.ndim != 1 or m.size == 0:
+        raise ValueError("cell masses must form a non-empty 1-d array")
+    if not m.min() > 0:
         raise ValueError("cell masses must be > 0")
     return 0.5 * (m + right_neighbour(m))
 
@@ -127,9 +132,9 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
     node_mass = np.asarray(node_mass, dtype=float)
     mu = np.asarray(mu_cells, dtype=float)
     p = np.asarray(p_cells, dtype=float)
-    if not (node_mass > 0).all():
+    if not node_mass.min(initial=np.inf) > 0:
         raise ValueError("node masses must be > 0")
-    if not (mu >= 0).all():
+    if not mu.min(initial=np.inf) >= 0:
         raise ValueError("viscosities must be >= 0")
 
     w_left = dt * mu / grid.cell_dx
@@ -196,7 +201,8 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=
         dt *= 0.5
 
     rho = cell_mass / new_grid.cell_dx
-    if not ((rho >= RHO_SANE_MIN) & (rho <= RHO_SANE_MAX)).all():
+    if not (rho.min(initial=np.inf) >= RHO_SANE_MIN
+            and rho.max(initial=-np.inf) <= RHO_SANE_MAX):
         raise StepFailure(f"density left the sane range [{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
                           diagnostics={"dt": dt})
 

@@ -1,5 +1,6 @@
 """Homogenized scheme: relaxation update, clamping, phase-mass transport."""
 
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +51,19 @@ class TestInit:
 
 
 class TestStep:
+    def test_next_state_carries_every_field(self):
+        # the step names every field of the state it builds; one left out
+        # would fall back to its default
+        s = replace(init_macro_riemann(16), t=0.5, dissipated=2.0, clamp_events=3,
+                    guard_events=4)
+        s2 = step_macro(s, MAT2, "cross", dt_limit=1e-4)
+        assert [f.name for f in fields(MacroState)] == [
+            "grid", "u", "alpha", "mass_plus", "mass_minus", "rho_plus", "rho_minus", "t",
+            "dissipated", "clamp_events", "guard_events"]
+        assert s2.mass_plus is s.mass_plus and s2.mass_minus is s.mass_minus
+        assert 0.5 < s2.t <= 0.5 + 1e-4 and s2.dissipated > 2.0
+        assert (s2.clamp_events, s2.guard_events) == (3, 4)
+
     def test_zero_relaxation_keeps_alpha(self):
         # same law in both phases and equal viscosities: the source is
         # identically zero even though the mixture moves

@@ -1,5 +1,6 @@
 """Sharp-interface scheme: initial datum, purity, conservation, symmetry."""
 
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +54,16 @@ class TestInit:
 
 
 class TestStep:
+    def test_next_state_carries_every_field(self):
+        # the step names every field of the state it builds; one left out
+        # would fall back to its default
+        s = replace(init_meso_riemann(8), t=0.5, dissipated=2.0)
+        s2 = step_meso(s, MAT2, dt_limit=1e-4)
+        assert [f.name for f in fields(MesoState)] == [
+            "grid", "u", "cell_mass", "c", "t", "dissipated"]
+        assert s2.cell_mass is s.cell_mass and s2.c is s.c
+        assert 0.5 < s2.t <= 0.5 + 1e-4 and s2.dissipated > 2.0
+
     def test_color_copied_bit_exactly(self):
         s = init_meso_riemann(8)
         c_before = s.c.copy()

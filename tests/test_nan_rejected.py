@@ -7,7 +7,9 @@ with a SingularSystemError: a non-finite matrix coefficient leaves a
 non-finite pivot in the factorization, and a non-finite right-hand side
 leaves a non-finite solution.  A step's
 dt_limit must be > 0 and finite; step_macro alone accepts an infinite
-one where its relaxation bound is finite, as that still caps the step."""
+one where its relaxation bound is finite, as that still caps the step.
+Cell masses that are empty or not 1-d are a ValueError too, not an
+IndexError from the neighbour shift."""
 
 import numpy as np
 import pytest
@@ -94,6 +96,13 @@ def test_infinity_is_rejected(call, message):
 def test_dt_limit_must_be_positive(step, dt_limit):
     with pytest.raises(ValueError, match=DT_LIMIT):
         step(dt_limit)
+
+
+@pytest.mark.parametrize("cell_mass", ([], np.empty(0), 1.0, np.ones((2, 3))),
+                         ids=("empty_list", "empty_array", "scalar", "2-d"))
+def test_cell_masses_must_form_a_non_empty_1d_array(cell_mass):
+    with pytest.raises(ValueError, match="cell masses must form a non-empty 1-d array"):
+        node_mass(cell_mass)
 
 
 def test_step_macro_accepts_infinite_dt_limit_under_its_relaxation_bound():

@@ -4,9 +4,10 @@ the window integrals of coarse-graining against a cell-by-cell walk,
 colour purity of meso runs, bit-exact cell masses of meso and macro runs,
 the macro step on pure cells against the meso step, the momentum solve
 against a dense oracle, the step's building blocks bit for bit against
-the formulas they replace, and the step's one coefficient evaluation bit
+the formulas they replace, the step's one coefficient evaluation bit
 for bit against the public coefficient functions and against closed
-forms written here."""
+forms written here, and the patch passes the macro step skips when no
+cell needs them against the plain formulas."""
 
 from unittest.mock import patch
 
@@ -21,7 +22,8 @@ from conftest import dense_matrix, dense_solve, window_walk
 from biphase1d import stepping
 from biphase1d.diagnostics import _window_sums, estimate_alpha_meso
 from biphase1d.errors import StepFailure
-from biphase1d.macro import MacroState, init_macro_riemann, step_macro
+from biphase1d.macro import (ALPHA_GUARD, MacroState, _clamp, _phase_density,
+                             init_macro_riemann, step_macro)
 from biphase1d.materials import (MaterialPair, PowerLaw, homogenized, mu_eff, p_eff,
                                  relaxation_rhs)
 from biphase1d.cli import parse_config
@@ -433,3 +435,79 @@ def test_homogenized_equals_its_closed_forms(J, mus, equal, weighting, data):
     assert same_bits(mu_cells, want)
     assert same_bits(k, alpha * (1.0 - alpha) / denom)
     assert same_bits(dp, p_p - p_m)
+
+
+# The patch passes that homogenized, macro._phase_density and macro._clamp
+# skip when no cell needs them, in both regimes: every cell mixed (no pass)
+# and some cells pure, near-empty or out of range (the pass), bit for bit
+# against the plain np.where and clip formulas, with their counts.
+
+def with_specials(draw, J, inside, specials):
+    """J entries from ``inside``, or, in the other regime, with at least one
+    entry drawn from ``specials``."""
+    values = field(draw, J, inside)
+    if J and draw(st.booleans()):
+        for i in draw(st.lists(st.integers(0, J - 1), min_size=1)):
+            values[i] = draw(specials)
+    return values
+
+
+def same_array(got, want):
+    return type(got) is np.ndarray and type(want) is np.ndarray and same_bits(got, want)
+
+
+MIXED = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+PURE = st.sampled_from((0.0, -0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(J=st.integers(0, 20), mus=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       scalar=st.booleans(), data=st.data())
+def test_homogenized_pure_patch_in_both_regimes(J, mus, scalar, data):
+    mu_p, mu_m = mus
+    mat = MaterialPair(PowerLaw(), PowerLaw(), mu_p, mu_m)
+    alpha = with_specials(data.draw, J, MIXED, PURE)
+    p_p, p_m = field(data.draw, J, NONNEGATIVE), field(data.draw, J, NONNEGATIVE)
+    if scalar and J:  # 0-d input: np.where still returns an ndarray
+        alpha, p_p, p_m = float(alpha[0]), float(p_p[0]), float(p_m[0])
+    p_cells, mu_cells, _, _ = homogenized(alpha, p_p, p_m, mat)
+
+    alpha = np.asarray(alpha)
+    denom = alpha * mu_m + (1.0 - alpha) * mu_p
+    num = alpha * p_p * mu_m + (1.0 - alpha) * p_m * mu_p
+    assert same_array(p_cells, np.where(alpha == 1.0, p_p, np.where(alpha == 0.0, p_m,
+                                                                      num / denom)))
+    if mu_p != mu_m:
+        assert same_array(mu_cells, np.where(alpha == 1.0, mu_p,
+                                             np.where(alpha == 0.0, mu_m,
+                                                      mu_p * mu_m / denom)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(J=st.integers(0, 20), scalar=st.booleans(), data=st.data())
+def test_phase_density_guard_patch_in_both_regimes(J, scalar, data):
+    above = st.floats(ALPHA_GUARD, 1.0, exclude_min=True)
+    near_empty = st.sampled_from((0.0, -0.0, 5e-324, 1e-13, ALPHA_GUARD))
+    fraction = with_specials(data.draw, J, above, near_empty)
+    mass = field(data.draw, J, st.just(0.0) | POSITIVE)
+    dx, rho_old = field(data.draw, J, POSITIVE), field(data.draw, J, POSITIVE)
+    if scalar and J:  # 0-d arrays: np.where still returns an ndarray
+        fraction, mass, dx, rho_old = (a[0, ...] for a in (fraction, mass, dx, rho_old))
+    rho, guards = _phase_density(mass, fraction, dx, rho_old)
+
+    ok = fraction > ALPHA_GUARD
+    assert same_array(rho, np.where(ok, mass / (np.where(ok, fraction, 1.0) * dx), rho_old))
+    assert guards == np.count_nonzero(~ok & (mass > 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(J=st.integers(0, 20), data=st.data())
+def test_alpha_clamp_in_both_regimes(J, data):
+    inside = MIXED | st.just(1.0)
+    outside = PURE | st.sampled_from((-5e-324, -1e-7, np.nextafter(1.0, 2.0), 1.5, np.nan))
+    alpha_raw = with_specials(data.draw, J, inside, outside)
+    alpha_new, clamps = _clamp(alpha_raw.copy())
+
+    want = alpha_raw.clip(0.0, 1.0)
+    assert same_array(alpha_new, want)
+    assert clamps == np.count_nonzero(want != alpha_raw)
