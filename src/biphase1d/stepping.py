@@ -119,13 +119,15 @@ def node_mass(cell_mass):
 
 def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
     """Implicit-viscosity momentum system for the new node velocities, as
-    the four arrays (sub, diag, sup, rhs) that solve_cyclic_tridiagonal takes.
+    the three arrays (diag, off, rhs) that solve_cyclic_tridiagonal takes,
+    with off[j] = A[j, j+1 mod n] = -dt*mu_{j+1}/dx_{j+1}.
 
     Row j:  m_j u_j - dt*mu_{j+1}/dx_{j+1} (u_{j+1} - u_j)
                     + dt*mu_j/dx_j (u_j - u_{j-1})
             = m_j u_old_j - dt*(p_{j+1} - p_j)
-    with cell indices wrapping periodically.  Strictly diagonally
-    dominant for any dt > 0 and positive node masses.
+    with cell indices wrapping periodically.  Symmetric, and strictly
+    diagonally dominant with a positive diagonal, so positive definite, for
+    any dt > 0 and positive node masses.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -141,7 +143,7 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
     w_right = right_neighbour(w_left)
     diag = node_mass + w_left + w_right
     rhs = node_mass * np.asarray(u_old, dtype=float) - dt * (right_neighbour(p) - p)
-    return -w_left, diag, -w_right, rhs
+    return diag, -w_right, rhs
 
 
 def choose_dt(grid, u_old):

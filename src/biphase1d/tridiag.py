@@ -1,12 +1,14 @@
-"""Periodic (cyclic) tridiagonal linear solves.
+"""Periodic (cyclic) symmetric tridiagonal linear solves.
 
 The implicit viscosity discretization couples each interface velocity to
-its two neighbours with periodic wrap-around, giving a tridiagonal matrix
-with two extra corner entries.  The system is passed as four arrays,
-``sub``, ``diag``, ``sup`` and ``rhs``, of one length n >= 3:
-A[j, j-1 mod n] = sub[j], A[j, j] = diag[j], A[j, j+1 mod n] = sup[j].
-The corners are removed with a rank-one correction, leaving two ordinary
-tridiagonal solves that share one LAPACK ``dgtsv`` factorization.
+its two neighbours with periodic wrap-around, giving a symmetric
+tridiagonal matrix with two extra corner entries.  The system is passed
+as three arrays, ``diag``, ``off`` and ``rhs``, of one length n >= 3:
+A[j, j] = diag[j] and A[j, j+1 mod n] = A[j+1 mod n, j] = off[j].
+The corners are removed with a symmetric rank-one correction, leaving two
+symmetric tridiagonal solves that share one LDL^T factorization without
+pivoting, LAPACK's ``dptsv``.  That factorization exists for a positive
+definite matrix, which the momentum step always produces.
 """
 
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -28,7 +30,7 @@ def _load_flapack():
     array-API layer, which biphase1d never uses, and would more than double
     the package's import time and nearly double its RSS.
     ``scipy.linalg.lapack`` re-exports this module's routines, so its
-    ``dgtsv`` is the same Fortran routine."""
+    ``dptsv`` is the same Fortran routine."""
     linalg_dir = str(Path(scipy.__file__).parent / "linalg")
     finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.linalg._flapack")
@@ -39,56 +41,60 @@ def _load_flapack():
     return module
 
 
-dgtsv = _load_flapack().dgtsv
+dptsv = _load_flapack().dptsv
 
 
-def solve_cyclic_tridiagonal(sub, diag, sup, rhs):
-    """Solve the periodic tridiagonal system A x = rhs, O(n).
+def solve_cyclic_tridiagonal(diag, off, rhs):
+    """Solve the periodic symmetric tridiagonal system A x = rhs, O(n).
 
-    Uses the standard corner correction: write A = T + u v^T with T
-    tridiagonal, solve T y = rhs and T z = u with one factorization, and
-    combine x = y - z (v.y)/(1 + v.z).  Exact (to rounding) for the
-    diagonally dominant matrices the momentum step produces.
+    Uses the standard corner correction with gamma = -diag[0]: write
+    A = T + gamma v v^T with v = e_0 + (off[n-1]/gamma) e_{n-1}, so that T is
+    symmetric tridiagonal, solve T y = rhs and T z = gamma v with one LDL^T
+    factorization, and combine x = y - z (v.y)/(1 + v.z).  For a positive
+    diag[0], T = A + diag[0] v v^T is positive definite whenever A is
+    positive semidefinite, so the singular periodic Laplacian fails in the
+    correction, at row n-1, not in the factorization.
 
     Raises ValueError for n < 3 or arrays of unequal lengths, and
-    SingularSystemError (a SolverError) for a zero or non-finite pivot, a
-    degenerate corner correction or a non-finite solution.
+    SingularSystemError (a SolverError) if T is not positive definite
+    (reported at the first row whose pivot is not positive), for a
+    non-finite pivot, a degenerate corner correction or a non-finite
+    solution.
     """
-    sub = np.asarray(sub, dtype=float)
     diag = np.asarray(diag, dtype=float)
-    sup = np.asarray(sup, dtype=float)
+    off = np.asarray(off, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = diag.size
     if n < 3:
         raise ValueError(f"cyclic system needs n >= 3, got n = {n}")
-    for name, a in (("sub", sub), ("sup", sup), ("rhs", rhs)):
+    for name, a in (("off", off), ("rhs", rhs)):
         if a.shape != (n,):
             raise ValueError(f"{name} must have shape ({n},)")
 
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    c = off[-1] / gamma
     t_diag = diag.copy()
     t_diag[0] -= gamma
-    t_diag[-1] -= sub[0] * (sup[-1] / gamma)
+    t_diag[-1] -= off[-1] * c
 
     b = np.zeros((n, 2), order="F")
     b[:, 0] = rhs
     b[0, 1] = gamma
-    b[-1, 1] = sup[-1]
+    b[-1, 1] = off[-1]
 
-    _, pivots, _, yz, info = dgtsv(sub[1:], t_diag, sup[:-1], b,
-                                   overwrite_d=1, overwrite_b=1)
+    pivots, _, yz, info = dptsv(t_diag, off[:-1], b, overwrite_d=1, overwrite_b=1)
     if info > 0:
         raise SingularSystemError(
-            f"singular cyclic tridiagonal system (pivot at row {info - 1})",
-            index=info - 1)
-    bad = ~np.isfinite(pivots)  # an inf coefficient can leave y, z finite but wrong
-    if bad.any():
-        idx = int(np.argmax(bad))
+            "cyclic tridiagonal system not positive definite "
+            f"(pivot at row {info - 1})", index=info - 1)
+    # the pivots are then positive or NaN; an inf in diag leaves an inf
+    # pivot and y, z finite but wrong
+    if not pivots.max() < np.inf:
+        idx = int(np.argmax(~np.isfinite(pivots)))
         raise SingularSystemError(
             f"singular cyclic tridiagonal system (non-finite pivot at row {idx})", index=idx)
     y, z = yz[:, 0], yz[:, 1]
 
-    c = sub[0] / gamma
     vy = y[0] + c * y[-1]
     vz = 1.0 + z[0] + c * z[-1]
     # a singular A leaves 1 + v.z at the rounding of its terms, not at 0

@@ -3,23 +3,23 @@
 import numpy as np
 
 
-def dense_matrix(sub, diag, sup):
-    """The full matrix of a periodic tridiagonal system, entry by entry:
-    A[j, j-1 mod n] = sub[j], A[j, j] = diag[j], A[j, j+1 mod n] = sup[j]."""
+def dense_matrix(diag, off):
+    """The full matrix of a periodic symmetric tridiagonal system, entry by
+    entry: A[j, j] = diag[j], A[j, j+1 mod n] = A[j+1 mod n, j] = off[j]."""
     n = len(diag)
     A = np.zeros((n, n))
     for j in range(n):
         A[j, j] = diag[j]
-        A[j, (j - 1) % n] = sub[j]
-        A[j, (j + 1) % n] = sup[j]
+        A[j, (j + 1) % n] = off[j]
+        A[(j + 1) % n, j] = off[j]
     return A
 
 
-def dense_solve(sub, diag, sup, rhs):
+def dense_solve(diag, off, rhs):
     """Independent oracle for periodic tridiagonal systems: assemble the
     full matrix and run Gaussian elimination with partial pivoting."""
     n = len(diag)
-    A = dense_matrix(sub, diag, sup)
+    A = dense_matrix(diag, off)
     M = np.hstack([A, np.asarray(rhs, dtype=float).reshape(-1, 1)])
     for col in range(n):
         piv = col + np.argmax(np.abs(M[col:, col]))
@@ -33,15 +33,14 @@ def dense_solve(sub, diag, sup, rhs):
 
 
 def random_dominant_system(rng, n):
-    """A strictly diagonally dominant cyclic tridiagonal system, as the
-    arrays (sub, diag, sup, rhs)."""
-    sub = rng.uniform(-1, 1, n)
-    sup = rng.uniform(-1, 1, n)
+    """A symmetric cyclic tridiagonal system, strictly diagonally dominant
+    with a positive diagonal (so positive definite), as the arrays
+    (diag, off, rhs)."""
+    off = rng.uniform(-1, 1, n)
     margin = rng.uniform(0.1, 2.0, n)
-    sign = rng.choice([-1.0, 1.0], n)
-    diag = sign * (np.abs(sub) + np.abs(sup) + margin)
+    diag = np.abs(off) + np.abs(np.roll(off, 1)) + margin
     rhs = rng.uniform(-5, 5, n)
-    return sub, diag, sup, rhs
+    return diag, off, rhs
 
 
 def window_walk(state, K):

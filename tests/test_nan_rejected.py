@@ -2,10 +2,11 @@
 every check for a positive scalar also rejects infinity.  The phase
 pressures that p_eff and relaxation_rhs take are checked like the
 densities the pressure laws take: NaN and negative values are rejected.
-The cyclic solve fails on a NaN, inf or -inf in any of its four arrays
-with a SingularSystemError: a non-finite matrix coefficient leaves a
-non-finite pivot in the factorization, and a non-finite right-hand side
-leaves a non-finite solution.  A step's
+The cyclic solve fails on a NaN, inf or -inf in any entry of its
+symmetric matrix or right-hand side with a SingularSystemError: a
+non-finite matrix coefficient leaves a non-finite or non-positive pivot
+in the factorization, and a non-finite right-hand side leaves a
+non-finite solution.  A step's
 dt_limit must be > 0 and finite; step_macro alone accepts an infinite
 one where its relaxation bound is finite, as that still caps the step.
 Cell masses that are empty or not 1-d are a ValueError too, not an
@@ -111,14 +112,19 @@ def test_step_macro_accepts_infinite_dt_limit_under_its_relaxation_bound():
 
 
 def solve_with(value, array, entry):
-    # diagonally dominant, n = 5
-    system = [np.full(5, -1.0), np.full(5, 3.0), np.full(5, -1.0), np.arange(1.0, 6.0)]
-    system[array][entry] = value
-    return solve_cyclic_tridiagonal(*system)
+    """The diagonally dominant n = 5 system (diag 3, off -1, rhs 1..5) with
+    row ``entry``'s entry of ``array`` set to value.  The matrix is
+    symmetric, so row j's sub-diagonal entry A[j, j-1 mod n] is off[j-1 mod n]
+    and its super-diagonal entry A[j, j+1 mod n] is off[j]."""
+    diag, off, rhs = np.full(5, 3.0), np.full(5, -1.0), np.arange(1.0, 6.0)
+    target, index = {"sub": (off, (entry - 1) % 5), "diag": (diag, entry),
+                     "sup": (off, entry), "rhs": (rhs, entry)}[array]
+    target[index] = value
+    return solve_cyclic_tridiagonal(diag, off, rhs)
 
 
 ENTRIES = pytest.mark.parametrize("entry", (0, 2, 4), ids=("first", "middle", "last"))
-ARRAYS = pytest.mark.parametrize("array", range(4), ids=("sub", "diag", "sup", "rhs"))
+ARRAYS = pytest.mark.parametrize("array", ("sub", "diag", "sup", "rhs"))
 
 
 @ENTRIES

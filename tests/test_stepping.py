@@ -121,10 +121,11 @@ class TestMomentum:
     def test_strict_diagonal_dominance(self):
         rng = np.random.default_rng(2)
         g = StaggeredGrid(np.sort(rng.uniform(0, 1, 12)))
-        sub, diag, sup, _ = assemble_momentum(g, rng.normal(size=12), rng.uniform(0.01, 1, 12),
-                                              rng.uniform(0.5, 4, 12), rng.uniform(0.1, 2, 12),
-                                              dt=0.3)
-        assert np.all(np.abs(diag) > np.abs(sub) + np.abs(sup))
+        diag, off, _ = assemble_momentum(g, rng.normal(size=12), rng.uniform(0.01, 1, 12),
+                                         rng.uniform(0.5, 4, 12), rng.uniform(0.1, 2, 12),
+                                         dt=0.3)
+        # row j's off-diagonal entries are off[j-1] and off[j]
+        assert np.all(diag > np.abs(np.roll(off, 1)) + np.abs(off))
 
     def test_bad_inputs_rejected(self):
         g = StaggeredGrid.uniform(4)

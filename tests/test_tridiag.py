@@ -11,12 +11,12 @@ from biphase1d.tridiag import solve_cyclic_tridiagonal
 
 
 def test_identity_system():
-    x = solve_cyclic_tridiagonal(np.zeros(3), np.ones(3), np.zeros(3), [3.0, 5.0, 7.0])
+    x = solve_cyclic_tridiagonal(np.ones(3), np.zeros(3), [3.0, 5.0, 7.0])
     assert np.array_equal(x, [3.0, 5.0, 7.0])
 
 
 def test_constant_vector_row_sums_one():
-    x = solve_cyclic_tridiagonal(-np.ones(3), 3 * np.ones(3), -np.ones(3), np.ones(3))
+    x = solve_cyclic_tridiagonal(3 * np.ones(3), -np.ones(3), np.ones(3))
     assert np.allclose(x, 1.0, atol=1e-14)
 
 
@@ -34,10 +34,10 @@ def test_residual_bound():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(3, 65))
-        sub, diag, sup, rhs = random_dominant_system(rng, n)
-        x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
-        res = np.max(np.abs(dense_matrix(sub, diag, sup) @ x - rhs))
-        row_sum = np.abs(sub) + np.abs(diag) + np.abs(sup)
+        diag, off, rhs = random_dominant_system(rng, n)
+        x = solve_cyclic_tridiagonal(diag, off, rhs)
+        res = np.max(np.abs(dense_matrix(diag, off) @ x - rhs))
+        row_sum = np.abs(np.roll(off, 1)) + np.abs(diag) + np.abs(off)
         bound = 1e-12 * (np.max(row_sum) * np.max(np.abs(x)) + np.max(np.abs(rhs)))
         assert res <= bound
 
@@ -46,9 +46,9 @@ def test_rhs_from_all_ones_returns_ones():
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(3, 65))
-        sub, diag, sup, _ = random_dominant_system(rng, n)
-        rhs = dense_matrix(sub, diag, sup) @ np.ones(n)
-        assert np.max(np.abs(solve_cyclic_tridiagonal(sub, diag, sup, rhs) - 1.0)) <= 1e-12
+        diag, off, _ = random_dominant_system(rng, n)
+        rhs = dense_matrix(diag, off) @ np.ones(n)
+        assert np.max(np.abs(solve_cyclic_tridiagonal(diag, off, rhs) - 1.0)) <= 1e-12
 
 
 def test_cyclic_relabeling_invariance():
@@ -64,48 +64,58 @@ def test_cyclic_relabeling_invariance():
 
 def test_too_small_system_rejected():
     with pytest.raises(ValueError, match="n >= 3"):
-        solve_cyclic_tridiagonal([0, 0], [1, 1], [0, 0], [1, 1])
+        solve_cyclic_tridiagonal([1, 1], [0, 0], [1, 1])
 
 
 def test_singular_system_reports_index():
     with pytest.raises(SingularSystemError) as excinfo:
-        solve_cyclic_tridiagonal(np.zeros(4), np.zeros(4), np.zeros(4), np.ones(4))
+        solve_cyclic_tridiagonal(np.zeros(4), np.zeros(4), np.ones(4))
     assert excinfo.value.index is not None
     # the periodic Laplacian: the corner correction cancels only to rounding
     for n in (3, 64, 1000, 100_000):
         with pytest.raises(SingularSystemError) as excinfo:
-            solve_cyclic_tridiagonal(-np.ones(n), 2 * np.ones(n), -np.ones(n),
-                                     np.arange(n, dtype=float))
+            solve_cyclic_tridiagonal(2 * np.ones(n), -np.ones(n), np.arange(n, dtype=float))
         assert excinfo.value.index == n - 1
 
 
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError, match="shape"):
-        solve_cyclic_tridiagonal(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
+        solve_cyclic_tridiagonal(np.ones(4), np.zeros(3), np.ones(4))
+    with pytest.raises(ValueError, match="shape"):
+        solve_cyclic_tridiagonal(np.ones(4), np.zeros(4), np.ones(3))
 
 
-def _dgtsv_systems():
+def test_indefinite_system_reports_the_first_nonpositive_pivot():
+    # symmetric and invertible, but row 3 of the tridiagonal part has a
+    # negative pivot: LDL^T without pivoting stops there
+    diag = np.ones(6)
+    diag[3] = -1.0
+    with pytest.raises(SingularSystemError, match="not positive definite") as excinfo:
+        solve_cyclic_tridiagonal(diag, np.full(6, 0.1), np.ones(6))
+    assert excinfo.value.index == 3
+    # a negative first diagonal entry turns the corner-corrected T[0, 0] negative
+    with pytest.raises(SingularSystemError, match="not positive definite") as excinfo:
+        solve_cyclic_tridiagonal(-np.ones(6), np.full(6, 0.1), np.ones(6))
+    assert excinfo.value.index == 0
+
+
+def _dptsv_systems():
     rng = np.random.default_rng(5)
-    sub, diag, sup, rhs = random_dominant_system(rng, 12)
-    yield "dominant, 1 rhs", sub[1:], diag, sup[:-1], rhs
-    yield "dominant, 2 rhs", sub[1:], diag, sup[:-1], np.column_stack([rhs, rhs[::-1]])
-    # |sub| > |diag| makes the elimination swap rows
-    yield "pivoting", 3 + rng.uniform(0, 1, 11), rng.uniform(-0.1, 0.1, 12), \
-        rng.uniform(-1, 1, 11), rng.uniform(-5, 5, 12)
+    diag, off, rhs = random_dominant_system(rng, 12)
+    yield "dominant, 1 rhs", diag, off[:-1], rhs.reshape(-1, 1)
+    yield "dominant, 2 rhs", diag, off[:-1], np.column_stack([rhs, rhs[::-1]])
     diag = diag.copy()
     diag[4] = 0.0
-    yield "singular", np.zeros(11), diag, np.zeros(11), rhs
+    yield "singular", diag, np.zeros(11), rhs.reshape(-1, 1)
 
 
-@pytest.mark.parametrize("name, dl, d, du, b", [pytest.param(*s, id=s[0])
-                                                 for s in _dgtsv_systems()])
-def test_loaded_dgtsv_is_bit_identical_to_scipy_linalg_lapack(name, dl, d, du, b):
-    ours = tridiag.dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
-    theirs = scipy.linalg.lapack.dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
-    assert len(ours) == len(theirs) == 5
-    for a, e in zip(ours[:4], theirs[:4]):
-        assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
-    assert ours[4] == theirs[4]
-    if name == "pivoting":
-        assert np.any(ours[0] != 0.0)  # the second superdiagonal fill-in of a row swap
-    assert (ours[4] == 5) == (name == "singular")
+@pytest.mark.parametrize("name, d, e, b", [pytest.param(*s, id=s[0])
+                                           for s in _dptsv_systems()])
+def test_loaded_dptsv_is_bit_identical_to_scipy_linalg_lapack(name, d, e, b):
+    ours = tridiag.dptsv(d.copy(), e.copy(), b.copy())
+    theirs = scipy.linalg.lapack.dptsv(d.copy(), e.copy(), b.copy())
+    assert len(ours) == len(theirs) == 4
+    for a, t in zip(ours[:3], theirs[:3]):
+        assert a.dtype == t.dtype and a.shape == t.shape and a.tobytes() == t.tobytes()
+    assert ours[3] == theirs[3]
+    assert (ours[3] == 5) == (name == "singular")
