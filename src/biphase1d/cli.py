@@ -6,7 +6,6 @@ tables with one ``# column`` header line, 17-significant-digit floats,
 and LF line endings, so reruns of the same config are byte-identical.
 """
 
-import argparse
 import functools
 import json
 import math
@@ -544,6 +543,8 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
 
 
 def main(argv=None):
+    import argparse  # only the command line needs it, not the library
+
     parser = argparse.ArgumentParser(
         prog="biphase1d",
         description="1D compressible two-fluid simulator: sharp-interface "

@@ -98,6 +98,18 @@ def estimate_alpha_meso(state):
     return num / (dx + half_l + half_r)
 
 
+def _cuts(grid, K):
+    """The window width h, every cell's left edge on the torus, and the
+    sorted distinct cuts: the cell left edges, the window edges k*h and L.
+    They are sorted and deduplicated as np.unique does it; np.unique
+    itself would import numpy.ma on its first call (np.ma.is_masked)."""
+    h = grid.length / K
+    start = (grid.node_x - grid.cell_dx) % grid.length
+    cuts = np.concatenate((start, np.arange(K) * h, [grid.length]))
+    cuts.sort()
+    return h, start, cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+
+
 def _window_sums(state, K):
     """Exact window integrals over the pieces of the torus.
 
@@ -109,13 +121,10 @@ def _window_sums(state, K):
     moments and the velocity integral.
     """
     grid = state.grid
-    J, L = grid.J, grid.length
-    if K < 1 or K >= J:
+    if K < 1 or K >= grid.J:
         raise ValueError(f"coarse window count must satisfy 1 <= K < J, got {K}")
-    h = L / K
     dx = grid.cell_dx
-    start = (grid.node_x - dx) % L
-    cuts = np.unique(np.concatenate((start, np.arange(K) * h, [L])))
+    h, start, cuts = _cuts(grid, K)
     seg = np.diff(cuts)
     mid = cuts[:-1] + 0.5 * seg
     # the piece before the first left edge belongs to the seam cell,
@@ -128,7 +137,7 @@ def _window_sums(state, K):
         return np.bincount(win, weights=seg * per_piece, minlength=K)
 
     u = np.asarray(state.u, dtype=float)
-    xi = (mid - start[cell]) % L
+    xi = (mid - start[cell]) % grid.length
     u_int = integral(u[cell - 1] + (u[cell] - u[cell - 1]) * xi / dx[cell])
     w, rho_p, rho_m = state.weight, state.rho_plus, state.rho_minus
     length, plus_len = integral(1.0), integral(w[cell])

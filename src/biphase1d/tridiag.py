@@ -12,11 +12,10 @@ definite matrix, which the momentum step always produces.
 """
 
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import SingularSystemError
 
@@ -28,10 +27,15 @@ def _load_flapack():
     without running ``scipy.linalg``'s package init: that init imports
     numpy.f2py, numpy.testing, numpy.random and numpy.ma through scipy's
     array-API layer, which biphase1d never uses, and would more than double
-    the package's import time and nearly double its RSS.
+    the package's import time and nearly double its RSS.  scipy's own
+    directory comes from its import spec, so ``scipy``'s package init does
+    not run either; the extension finds scipy's OpenBLAS by its rpath.
     ``scipy.linalg.lapack`` re-exports this module's routines, so its
     ``dptsv`` is the same Fortran routine."""
-    linalg_dir = str(Path(scipy.__file__).parent / "linalg")
+    scipy_spec = find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy not found")
+    linalg_dir = str(Path(scipy_spec.submodule_search_locations[0]) / "linalg")
     finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.linalg._flapack")
     if spec is None:
@@ -77,6 +81,10 @@ def solve_cyclic_tridiagonal(diag, off, rhs):
     t_diag[0] -= gamma
     t_diag[-1] -= off[-1] * c
 
+    # both right-hand sides in one (n, 2) buffer: solving them as two (n,)
+    # arrays (dpttrs for the second, on dptsv's factors) is bit-identical
+    # but slower at n = 1e5 in a run, as without this 1.6 MB buffer glibc's
+    # dynamic trim threshold stays low and each step refaults its pages
     b = np.zeros((n, 2), order="F")
     b[:, 0] = rhs
     b[0, 1] = gamma
@@ -102,9 +110,9 @@ def solve_cyclic_tridiagonal(diag, off, rhs):
         raise SingularSystemError("singular cyclic tridiagonal system "
                                   "(corner correction degenerate)", index=n - 1)
     x = y - (vy / vz) * z
-    bad = ~np.isfinite(x)
-    if bad.any():
-        idx = int(np.argmax(bad))
+    # a NaN fails both comparisons
+    if not (x.min() > -np.inf and x.max() < np.inf):
+        idx = int(np.argmax(~np.isfinite(x)))
         raise SingularSystemError(
             f"singular cyclic tridiagonal system (non-finite solution at row {idx})",
             index=idx)

@@ -1,6 +1,7 @@
 """Invariants stated as properties over random inputs: mass and length
 conservation of the kernel step, the one dt-halving budget of a step,
 the window integrals of coarse-graining against a cell-by-cell walk,
+the coarse-graining cuts byte for byte against np.unique,
 colour purity of meso runs, bit-exact cell masses of meso and macro runs,
 the macro step on pure cells against the meso step, the momentum solve
 against a dense oracle, the step's building blocks bit for bit against
@@ -13,14 +14,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import dense_matrix, dense_solve, window_walk
 
 from biphase1d import stepping
-from biphase1d.diagnostics import _window_sums, estimate_alpha_meso
+from biphase1d.diagnostics import _cuts, _window_sums, estimate_alpha_meso
 from biphase1d.errors import StepFailure
 from biphase1d.macro import (ALPHA_GUARD, MacroState, _clamp, _phase_density,
                              init_macro_riemann, step_macro)
@@ -165,6 +166,38 @@ def test_window_sums_match_the_cell_walk(state):
             scale = np.roll(near, 1) + near + np.roll(near, -1)
             assert got[key].shape == (K,)
             assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * scale), (K, key)
+
+
+@st.composite
+def tori_with_nodes_on_window_edges(draw):
+    """A torus of J cells and a window count K, where some nodes sit
+    exactly on window edges k/K, so that cell edges and window edges
+    coincide; the nodes may be shifted by whole lengths."""
+    J = draw(st.integers(3, 30))
+    K = draw(st.integers(1, J - 1))
+    edges = np.arange(K) * (1.0 / K)
+    on_edges = draw(st.sets(st.integers(0, K - 1), max_size=J))
+    free = np.array(draw(st.lists(st.integers(0, 2**40 - 1), min_size=J - len(on_edges),
+                                  max_size=J - len(on_edges)))) * 2.0**-40
+    shift = draw(st.sampled_from((0.0, 0.0, 1.0, -2.0)))
+    nodes = np.unique(np.concatenate((edges[sorted(on_edges)], free))) + shift
+    assume(nodes.size > max(K, 2) and np.all(np.diff(nodes) > 0)
+           and nodes[-1] - nodes[0] < 1.0)
+    return StaggeredGrid(nodes), K
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=tori_with_nodes_on_window_edges())
+@example(drawn=(StaggeredGrid.uniform(12), 4))
+@example(drawn=(StaggeredGrid.uniform(30), 10))
+def test_window_cuts_equal_np_unique(drawn):
+    grid, K = drawn
+    h, start, cuts = _cuts(grid, K)
+    joined = np.concatenate((start, np.arange(K) * h, [grid.length]))
+    ref = np.unique(joined)
+    event(f"duplicate cuts: {joined.size > ref.size}")
+    assert cuts.dtype == ref.dtype and cuts.shape == ref.shape
+    assert cuts.tobytes() == ref.tobytes()
 
 
 ENVELOPE = f"density left the sane range [{RHO_SANE_MIN}, {RHO_SANE_MAX}]"

@@ -1,5 +1,8 @@
 """Cyclic tridiagonal solver against a dense elimination oracle."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -7,6 +10,7 @@ from conftest import dense_matrix, dense_solve, random_dominant_system
 
 from biphase1d import tridiag
 from biphase1d.errors import SingularSystemError
+from biphase1d.stepping import StaggeredGrid, assemble_momentum, node_mass
 from biphase1d.tridiag import solve_cyclic_tridiagonal
 
 
@@ -119,3 +123,57 @@ def test_loaded_dptsv_is_bit_identical_to_scipy_linalg_lapack(name, d, e, b):
         assert a.dtype == t.dtype and a.shape == t.shape and a.tobytes() == t.tobytes()
     assert ours[3] == theirs[3]
     assert (ours[3] == 5) == (name == "singular")
+
+
+def packed_reference(diag, off, rhs):
+    """The corner-corrected solve with both right-hand sides packed into
+    one (n, 2) Fortran array for a single scipy ``dptsv`` call."""
+    n = diag.size
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    c = off[-1] / gamma
+    t_diag = diag.copy()
+    t_diag[0] -= gamma
+    t_diag[-1] -= off[-1] * c
+    b = np.zeros((n, 2), order="F")
+    b[:, 0] = rhs
+    b[0, 1] = gamma
+    b[-1, 1] = off[-1]
+    _, _, yz, info = scipy.linalg.lapack.dptsv(t_diag, off[:-1], b)
+    assert info == 0
+    y, z = yz[:, 0], yz[:, 1]
+    vy = y[0] + c * y[-1]
+    vz = 1.0 + z[0] + c * z[-1]
+    return y - (vy / vz) * z
+
+
+def _momentum_system(rng, n):
+    """assemble_momentum's system on a randomly stretched torus."""
+    widths = rng.uniform(0.5, 1.5, n)
+    grid = StaggeredGrid(np.cumsum(widths / widths.sum()))
+    return assemble_momentum(grid, rng.uniform(-2.0, 2.0, n), rng.uniform(1e-3, 1.0, n),
+                             rng.uniform(0.1, 5.0, n),
+                             node_mass(rng.uniform(0.1, 5.0, n) * grid.cell_dx), 1e-3)
+
+
+@pytest.mark.parametrize("n", (3, 64, 1000))
+@pytest.mark.parametrize("build", (random_dominant_system, _momentum_system),
+                         ids=("dominant", "momentum"))
+def test_solve_is_bit_identical_to_scipy_dptsv_with_the_corner_correction(build, n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        diag, off, rhs = build(rng, n)
+        given = (diag.copy(), off.copy(), rhs.copy())
+        x = solve_cyclic_tridiagonal(diag, off, rhs)
+        ref = packed_reference(diag, off, rhs)
+        assert x.dtype == ref.dtype and x.shape == ref.shape == (n,)
+        assert x.tobytes() == ref.tobytes()
+        # the inputs are left as they were
+        for a, g in zip((diag, off, rhs), given):
+            assert a.tobytes() == g.tobytes()
+
+
+def test_missing_flapack_is_an_import_error_naming_the_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tridiag, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError, match="_flapack not found in " + re.escape(str(tmp_path / "linalg"))):
+        tridiag._load_flapack()
