@@ -10,10 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import homogenized
+from .meso import riemann_density, run_scheme
+from .stepping import StaggeredGrid, _advance, back_difference, node_mass
 # unused here: perfbench/probes.py binds these names until ROADMAP item 8 rebinds it
 from .materials import mu_eff, p_eff, relaxation_rhs  # noqa: F401
-from .meso import riemann_density, run_scheme
-from .stepping import StaggeredGrid, lagrangian_step
+from .stepping import lagrangian_step  # noqa: F401
 
 # below this distance from 0 or 1, a phase volume is too small to divide by
 ALPHA_GUARD = 1e-12
@@ -88,7 +89,13 @@ def _clamp(alpha_raw):
     return alpha_new, int(np.count_nonzero(alpha_new != alpha_raw))
 
 
-def step_macro(state, mat, weighting, dt_limit):
+def _run_constants(state):
+    """The cell masses and node masses of a run from state, checked."""
+    cell_mass = state.cell_mass
+    return cell_mass, node_mass(cell_mass)
+
+
+def step_macro(state, mat, weighting, dt_limit, *, context=None):
     """One homogenized step.
 
     The cell masses ride the shared Lagrangian kernel with the effective
@@ -106,6 +113,7 @@ def step_macro(state, mat, weighting, dt_limit):
     k = alpha*(1-alpha)/D and dp = p_+ - p_- once; the public ``p_eff``,
     ``mu_eff`` and ``relaxation_rhs`` are views of it.
     An attempt then costs the relaxation rate k*(dp - (mu_+ - mu_-)*u_x).
+    ``context`` is what run_macro passes: the run constants of its first state.
     """
     p_plus = mat.law_plus.pressure(state.rho_plus)
     p_minus = mat.law_minus.pressure(state.rho_minus)
@@ -113,42 +121,47 @@ def step_macro(state, mat, weighting, dt_limit):
     del p_plus, p_minus  # the attempts need only k and dp
     dmu = mat.mu_plus - mat.mu_minus
 
-    def rate(u, grid):
-        return k * (dp - dmu * grid.strain(u))
+    def rate(du, dx):
+        return k * (dp - dmu * (du / dx))
 
+    du_old = back_difference(state.u)
     bound = RELAX_ETA * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
     with np.errstate(divide="ignore"):
         # dt_limit first: a NaN one then reaches the kernel's check
-        cap = min(dt_limit, float((bound / np.abs(rate(state.u, state.grid))).min()))
+        cap = min(dt_limit, float((bound / np.abs(rate(du_old, state.grid.cell_dx))).min()))
 
     d_alpha = None
 
-    def increment_within_bound(u_new, new_grid, dt):
+    def within_bound(u_new, du_new, new_x, new_dx, dt):
         nonlocal d_alpha
-        d_alpha = dt * rate(u_new, new_grid)
+        d_alpha = dt * rate(du_new, new_dx)
         return bool((np.abs(d_alpha) <= bound).all())
 
-    out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
-                          dt_limit=cap, accept=increment_within_bound)
+    cell_mass, m_node = context or _run_constants(state)
+    dt, grid, u, dissipation, _ = _advance(state.grid, state.u, du_old, cell_mass, m_node,
+                                           mu_cells, p_cells, cap, accept=within_bound)
 
     alpha_new, clamps = _clamp(state.alpha + d_alpha)
-    dx_new = out.grid.cell_dx
+    dx_new = grid.cell_dx
     rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus)
     rho_m, guards_m = _phase_density(state.mass_minus, 1.0 - alpha_new, dx_new,
                                      state.rho_minus)
 
-    return MacroState(grid=out.grid, u=out.u, alpha=alpha_new,
+    return MacroState(grid=grid, u=u, alpha=alpha_new,
                       mass_plus=state.mass_plus, mass_minus=state.mass_minus,
                       rho_plus=rho_p, rho_minus=rho_m,
-                      t=state.t + out.dt_used,
-                      dissipated=state.dissipated + out.dissipation_increment,
+                      t=state.t + dt, dissipated=state.dissipated + dissipation,
                       clamp_events=state.clamp_events + clamps,
                       guard_events=state.guard_events + guards_p + guards_m)
 
 
 def run_macro(config):
     """Run the homogenized scheme from the Riemann datum to config.t_end."""
-    return run_scheme(init_macro_riemann(config.cells),
-                      lambda state, dt_limit: step_macro(state, config.mat,
-                                                         config.weighting, dt_limit),
-                      config)
+    context = None
+
+    def advance(state, dt_limit):
+        nonlocal context
+        context = context or _run_constants(state)
+        return step_macro(state, config.mat, config.weighting, dt_limit, context=context)
+
+    return run_scheme(init_macro_riemann(config.cells), advance, config)

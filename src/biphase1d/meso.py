@@ -10,8 +10,10 @@ import numpy as np
 
 from . import diagnostics
 from .errors import SolverError
-from .materials import mixture_pressure, mixture_viscosity
-from .stepping import StaggeredGrid, lagrangian_step
+# mixture_pressure and lagrangian_step are unused here: perfbench/probes.py binds them
+from .materials import mixture_pressure, mixture_viscosity  # noqa: F401
+from .stepping import StaggeredGrid, _advance, back_difference, node_mass
+from .stepping import lagrangian_step  # noqa: F401
 
 
 @dataclass
@@ -46,11 +48,6 @@ class MesoState:
         return diagnostics.estimate_alpha_meso(self)
 
 
-def _check_purity(c):
-    if (c * (1.0 - c) != 0.0).any():
-        raise ValueError("color field must be exactly 0 or 1 in every cell")
-
-
 def riemann_density(x):
     """The two-plateau initial density: 1/8 outside [1/4, 3/4), 2 inside."""
     x = np.asarray(x, dtype=float)
@@ -72,18 +69,29 @@ def init_meso_riemann(J, stride=1):
                      cell_mass=riemann_density(grid.midpoints) * grid.cell_dx, c=c)
 
 
-def step_meso(state, mat, dt_limit):
+def _run_constants(state, mat):
+    """Node masses, viscosities and phase-+ mask of a run from state, after
+    step_meso's checks in its order: purity, density (a mass's sign), masses."""
+    if (state.c * (1.0 - state.c) != 0.0).any():
+        raise ValueError("color field must be exactly 0 or 1 in every cell")
+    if not np.asarray(state.cell_mass).min(initial=np.inf) >= 0:
+        raise ValueError("density must be >= 0")
+    return node_mass(state.cell_mass), mixture_viscosity(state.c, mat), state.c == 1.0
+
+
+def step_meso(state, mat, dt_limit, *, context=None):
     """Advance one step: mixture coefficients per cell, then the shared
     Lagrangian kernel, with dt capped by dt_limit.  The color field and
-    the cell masses are carried over untouched."""
-    _check_purity(state.c)
-    p_cells = mixture_pressure(state.c, state.rho, mat)
-    mu_cells = mixture_viscosity(state.c, mat)
-    out = lagrangian_step(state.grid, state.u, state.cell_mass, mu_cells, p_cells,
-                          dt_limit)
-    return MesoState(grid=out.grid, u=out.u, cell_mass=state.cell_mass, c=state.c,
-                     t=state.t + out.dt_used,
-                     dissipated=state.dissipated + out.dissipation_increment)
+    the cell masses are carried over untouched.  ``context`` is what
+    run_meso passes: the run constants of its first state."""
+    m_node, mu_cells, plus = context or _run_constants(state, mat)
+    rho = state.cell_mass / state.grid.cell_dx
+    # a pure cell reads only its own phase's law, as in mixture_pressure
+    p_cells = np.where(plus, mat.law_plus.pressure(rho), mat.law_minus.pressure(rho))
+    dt, grid, u, dissipation, _ = _advance(state.grid, state.u, back_difference(state.u),
+                                           state.cell_mass, m_node, mu_cells, p_cells, dt_limit)
+    return MesoState(grid=grid, u=u, cell_mass=state.cell_mass, c=state.c,
+                     t=state.t + dt, dissipated=state.dissipated + dissipation)
 
 
 def run_scheme(state, advance, config):
@@ -121,6 +129,12 @@ def run_scheme(state, advance, config):
 
 def run_meso(config):
     """Run the sharp-interface scheme from the Riemann datum to config.t_end."""
-    return run_scheme(init_meso_riemann(config.cells),
-                      lambda state, dt_limit: step_meso(state, config.mat, dt_limit),
-                      config)
+    context = None
+
+    def advance(state, dt_limit):
+        # made at the first step: no frame but run_scheme's holds the initial state
+        nonlocal context
+        context = context or _run_constants(state, config.mat)
+        return step_meso(state, config.mat, dt_limit, context=context)
+
+    return run_scheme(init_meso_riemann(config.cells), advance, config)

@@ -60,6 +60,13 @@ def back_difference(a):
     return out
 
 
+def _widths(node_x, length):
+    """Cell widths of the unwrapped node positions on a torus of ``length``."""
+    dx = back_difference(node_x)
+    dx[0] += length
+    return dx
+
+
 @dataclass
 class StaggeredGrid:
     node_x: np.ndarray
@@ -72,8 +79,7 @@ class StaggeredGrid:
         self.node_x = np.asarray(self.node_x, dtype=float)
         if self.node_x.ndim != 1 or self.node_x.size < 3:
             raise ValueError("grid needs at least 3 interface positions")
-        dx = back_difference(self.node_x)
-        dx[0] += self.length
+        dx = _widths(self.node_x, self.length)
         if not dx.min(initial=np.inf) > 0:
             raise ValueError("cell widths must all be > 0")
         self.cell_dx = dx
@@ -81,6 +87,13 @@ class StaggeredGrid:
     @classmethod
     def uniform(cls, J):
         return cls(np.arange(1, J + 1) * (cls.length / J))
+
+    @classmethod
+    def _of(cls, node_x, cell_dx):
+        """The grid of node_x and its widths, formed and checked by the caller."""
+        grid = cls.__new__(cls)
+        grid.node_x, grid.cell_dx = node_x, cell_dx
+        return grid
 
     @property
     def J(self):
@@ -138,11 +151,14 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
         raise ValueError("node masses must be > 0")
     if not mu.min(initial=np.inf) >= 0:
         raise ValueError("viscosities must be >= 0")
+    return _assemble(grid.cell_dx, np.asarray(u_old, dtype=float), mu, p, node_mass, dt)
 
-    w_left = dt * mu / grid.cell_dx
+
+def _assemble(cell_dx, u_old, mu, p, m_node, dt):
+    w_left = dt * mu / cell_dx
     w_right = right_neighbour(w_left)
-    diag = node_mass + w_left + w_right
-    rhs = node_mass * np.asarray(u_old, dtype=float) - dt * (right_neighbour(p) - p)
+    diag = m_node + w_left + w_right
+    rhs = m_node * u_old - dt * (right_neighbour(p) - p)
     return diag, -w_right, rhs
 
 
@@ -152,9 +168,11 @@ def choose_dt(grid, u_old):
     The width of cell j changes at rate |u_j - u_{j-1}|, so the candidate
     keeps every width change below CFL_THETA times the smallest width.
     """
-    u = np.asarray(u_old, dtype=float)
-    jump = np.abs(back_difference(u)).max()
-    return CFL_THETA * grid.cell_dx.min() / (jump + _CFL_EPS)
+    return _cfl_dt(grid.cell_dx, back_difference(np.asarray(u_old, dtype=float)))
+
+
+def _cfl_dt(cell_dx, du):
+    return CFL_THETA * cell_dx.min() / (np.abs(du).max() + _CFL_EPS)
 
 
 def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=None):
@@ -174,41 +192,55 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=
     pre-step mesh, matching the implicit discretization.
     """
     m_node = node_mass(cell_mass)
+    u_old, mu_cells, p_cells = (np.asarray(a, dtype=float) for a in (u_old, mu_cells, p_cells))
+    if not mu_cells.min(initial=np.inf) >= 0:
+        raise ValueError("viscosities must be >= 0")
+    attempt_ok = None if accept is None else (
+        lambda u_new, du_new, x, dx, dt: accept(u_new, StaggeredGrid._of(x, dx), dt))
+    return StepOutcome(*_advance(grid, u_old, back_difference(u_old), cell_mass, m_node,
+                                 mu_cells, p_cells, dt_limit, attempt_ok))
+
+
+def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit,
+             accept=None):
+    """lagrangian_step on checked float arrays, du_old = back_difference(u_old)
+    and m_node = node_mass(cell_mass), making only the checks whose outcome can
+    change in a run; ``accept(u_new, du_new, new_x, new_dx, dt)``."""
     if not np.isfinite(p_cells).all():
         raise StepFailure("cell pressures are not all finite")
     if not 0 < dt_limit < np.inf:
         raise ValueError("dt_limit must be > 0 and finite")
 
-    dt = min(choose_dt(grid, u_old), dt_limit)
+    dx = grid.cell_dx
+    dt = min(_cfl_dt(dx, du_old), dt_limit)
+    if not dt > 0:  # a non-finite u_old
+        raise ValueError("dt must be > 0")
 
     for halvings in range(MAX_HALVINGS + 1):
         # the system stays unnamed so it dies at once: fewer live temporaries
         # at large J keep the heap from being trimmed and refaulted every step
-        u_new = solve_cyclic_tridiagonal(
-            *assemble_momentum(grid, u_old, mu_cells, p_cells, m_node, dt))
+        u_new = solve_cyclic_tridiagonal(*_assemble(dx, u_old, mu_cells, p_cells, m_node, dt))
         # mesh motion: the widths still add up to the unit length
-        try:
-            new_grid = StaggeredGrid(grid.node_x + dt * u_new)
-        except ValueError:  # a cell width <= 0: the mesh inverted
-            new_grid = None
-        if new_grid is not None and (accept is None or accept(u_new, new_grid, dt)):
-            break
+        new_x = grid.node_x + dt * u_new
+        new_dx = _widths(new_x, grid.length)
+        if new_dx.min() > 0:  # else the mesh inverted
+            du_new = back_difference(u_new)
+            if accept is None or accept(u_new, du_new, new_x, new_dx, dt):
+                break
         if halvings == MAX_HALVINGS:
-            cause = "cell inversion" if new_grid is None else "step rejection"
+            cause = "step rejection" if new_dx.min() > 0 else "cell inversion"
             raise StepFailure(
                 f"{cause} persisted after {MAX_HALVINGS} dt halvings",
-                diagnostics={"dt": dt, "min_dx": float(grid.cell_dx.min()),
+                diagnostics={"dt": dt, "min_dx": float(dx.min()),
                              "max_u": float(np.abs(u_new).max())},
             )
         dt *= 0.5
 
-    rho = cell_mass / new_grid.cell_dx
+    rho = cell_mass / new_dx
     if not (rho.min(initial=np.inf) >= RHO_SANE_MIN
             and rho.max(initial=-np.inf) <= RHO_SANE_MAX):
         raise StepFailure(f"density left the sane range [{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
                           diagnostics={"dt": dt})
 
-    dissipation = dt * float((np.asarray(mu_cells) * grid.strain(u_new)**2
-                              * grid.cell_dx).sum())
-    return StepOutcome(dt_used=dt, grid=new_grid, u=u_new,
-                       dissipation_increment=dissipation, halvings=halvings)
+    dissipation = dt * float((mu_cells * (du_new / dx)**2 * dx).sum())
+    return dt, StaggeredGrid._of(new_x, new_dx), u_new, dissipation, halvings

@@ -5,12 +5,15 @@
 benchmark.  The probes file is run from its source text, never imported,
 so no bytecode is written next to it.  ``perfbench/workloads.py`` and
 ``perfbench/worker.py`` also read fields of the states the steps return,
-and of the RunConfig that ``parse_config`` builds.
+and of the RunConfig that ``parse_config`` builds, and the benchmark counts
+a run's accepted steps at the ``step_meso`` and ``step_macro`` bindings.
 """
 
 import importlib
 import runpy
 from pathlib import Path
+
+import pytest
 
 from biphase1d.cli import parse_config
 from biphase1d.macro import init_macro_riemann, step_macro
@@ -45,3 +48,31 @@ def test_every_config_field_the_benchmark_reads_exists():
     missing = [f"{owner}.{name}" for owner, (obj, names) in read.items()
                for name in names if not hasattr(obj, name)]
     assert not missing, f"gone from the run config: {missing}"
+
+
+@pytest.mark.parametrize("scheme, overrides", (
+    ("meso", {}),
+    ("macro", {}),
+    # the relaxation-capped retry config: attempts outnumber accepted steps
+    ("macro", {"gamma_minus": 5, "K_minus": 10, "dt_max": 1, "mu_minus": 0.00103}),
+), ids=("meso", "macro", "macro-retry"))
+def test_each_runner_calls_its_step_binding_once_per_accepted_step(scheme, overrides,
+                                                                   monkeypatch):
+    # perfbench/probes.py's Watch counts accepted steps by wrapping these
+    # module bindings, and a pass that counts none fails as "no accepted step"
+    module = importlib.import_module(f"biphase1d.{scheme}")
+    step = getattr(module, f"step_{scheme}")
+    calls = []
+
+    def counted(*args, **kwargs):
+        out = step(*args, **kwargs)
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(module, f"step_{scheme}", counted)
+    config = parse_config("test2", {**overrides, "scheme": scheme, "cells": 24,
+                                    "t_end": 0.004, "cadence": 1})
+    state, records = getattr(module, f"run_{scheme}")(config)
+    # with cadence 1 every accepted step leaves one record after the first
+    assert len(calls) == len(records) - 1 > 1
+    assert records[-1].t == state.t == config.t_end

@@ -159,16 +159,16 @@ class TestPressureEvaluations:
         counting = MaterialPair(CountingLaw(mat.law_plus), CountingLaw(mat.law_minus),
                                 mat.mu_plus, mat.mu_minus)
         refusals = []
-        kernel = macro.lagrangian_step
+        kernel = macro._advance
 
         def watched(*args, accept, **kwargs):
-            def counted_accept(u_new, new_grid, dt):
-                ok = accept(u_new, new_grid, dt)
+            def counted_accept(*attempt):
+                ok = accept(*attempt)
                 refusals.append(not ok)
                 return ok
             return kernel(*args, accept=counted_accept, **kwargs)
 
-        monkeypatch.setattr(macro, "lagrangian_step", watched)
+        monkeypatch.setattr(macro, "_advance", watched)
         step_macro(init_macro_riemann(40), counting, "cross", dt_limit=dt_max)
         return counting.law_plus.calls, counting.law_minus.calls, sum(refusals)
 
