@@ -151,7 +151,6 @@ DT_LIMIT = "dt_limit must be > 0 and finite"
 MAT = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 2.0), 0.1, 0.02)
 
 
-@dataclasses.dataclass(frozen=True)
 class NegativeLaw:
     """PowerLaw(1, 1) less 1e3: its density check, then a negative pressure."""
 
@@ -186,12 +185,14 @@ MACRO_FAULTS = (
     ("alpha below 0", lambda c: put(c["state"].alpha, 2, -0.5), ValueError, FRACTION),
     ("NaN alpha", lambda c: put(c["state"].alpha, 3, np.nan), ValueError, FRACTION),
     ("unknown weighting", lambda c: c.update(weighting="bogus"), ValueError, WEIGHTING),
-    ("negative phase pressure", lambda c: c.update(mat=dataclasses.replace(c["mat"], law_plus=NegativeLaw())),
+    ("negative phase pressure",
+     lambda c: c.update(mat=dataclasses.replace(c["mat"], law_plus=NegativeLaw())),
      ValueError, PRESSURE),
     ("NaN phase mass", lambda c: put(c["state"].mass_plus, 1, np.nan), ValueError, CELL_MASS),
     ("zero cell mass", lambda c: (put(c["state"].mass_plus, 2, 0.0),
                                   put(c["state"].mass_minus, 2, 0.0)), ValueError, CELL_MASS),
-    ("negative cell mass", lambda c: put(c["state"].mass_minus, 3, -1.0), ValueError, CELL_MASS),
+    ("negative cell mass", lambda c: put(c["state"].mass_minus, 3, -1.0), ValueError,
+     CELL_MASS),
     ("infinite pressure", lambda c: put(c["state"].rho_minus, 5, 1e200), StepFailure,
      NON_FINITE),
     ("NaN dt_limit", lambda c: c.update(dt_limit=np.nan), ValueError, DT_LIMIT),
@@ -214,6 +215,7 @@ def public_step(scheme, faults):
 
 
 def ordered_pairs(faults):
+    """Each two faults with different messages, the earlier-checked first."""
     return [pytest.param(first, second, id=f"{first[0]} + {second[0]}")
             for i, first in enumerate(faults) for second in faults[i + 1:]
             if first[3] != second[3]]
