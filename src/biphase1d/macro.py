@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import homogenized
+from .materials import _homogenized, homogenized
 from .meso import riemann_density, run_scheme
-from .stepping import StaggeredGrid, _advance, back_difference, node_mass
+from .stepping import StaggeredGrid, _advance, _workspace, back_difference, node_mass
 # unused here: perfbench/probes.py binds these names until ROADMAP item 8 rebinds it
 from .materials import mu_eff, p_eff, relaxation_rhs  # noqa: F401
 from .stepping import lagrangian_step  # noqa: F401
@@ -68,31 +68,36 @@ def init_macro_riemann(J):
                       rho_plus=rho_p, rho_minus=rho_m)
 
 
-def _phase_density(mass, fraction, dx, rho_old):
+def _phase_density(mass, fraction, dx, rho_old, lowest=None):
     """Phase density mass / (fraction * dx), frozen at rho_old where the
     phase volume vanishes; also returns how many such cells hold mass.
     The density is an ndarray, as np.where returns; no np.where pass runs
-    when every phase volume is above ALPHA_GUARD."""
-    if fraction.min(initial=np.inf) > ALPHA_GUARD:
-        return np.asarray(mass / (fraction * dx)), 0
+    when every phase volume (``lowest`` the least) is above ALPHA_GUARD."""
+    if (fraction.min(initial=np.inf) if lowest is None else lowest) > ALPHA_GUARD:
+        rho = np.asarray(fraction * dx)
+        return np.divide(mass, rho, out=rho), 0
     ok = fraction > ALPHA_GUARD
     rho = np.where(ok, mass / (np.where(ok, fraction, 1.0) * dx), rho_old)
     return rho, int(np.count_nonzero(~ok & (mass > 0)))
 
 
 def _clamp(alpha_raw):
-    """alpha_raw clipped to [0, 1], and how many entries that moved; no pass
-    when every entry lies in (0, 1], as a zero of either sign takes the clip."""
-    if alpha_raw.min(initial=np.inf) > 0 and alpha_raw.max(initial=-np.inf) <= 1:
-        return alpha_raw, 0
+    """alpha_raw clipped to [0, 1], how many entries that moved, and the
+    clipped (min, max), as the clip is monotone; no pass when every entry
+    lies in (0, 1], as a zero of either sign takes the clip."""
+    lo = np.minimum.reduce(alpha_raw, initial=np.inf)
+    hi = np.maximum.reduce(alpha_raw, initial=-np.inf)
+    if lo > 0 and hi <= 1:
+        return alpha_raw, 0, (lo, hi)
     alpha_new = alpha_raw.clip(0.0, 1.0)
-    return alpha_new, int(np.count_nonzero(alpha_new != alpha_raw))
+    return alpha_new, int(np.count_nonzero(alpha_new != alpha_raw)), (max(lo, 0.0), min(hi, 1.0))
 
 
 def _run_constants(state):
-    """The cell masses and node masses of a run from state, checked."""
+    """The cell masses, node masses and workspace of a run from state, checked,
+    then a slot for the last new alpha and its (min, max), for the next step."""
     cell_mass = state.cell_mass
-    return cell_mass, node_mass(cell_mass)
+    return [cell_mass, node_mass(cell_mass), _workspace(cell_mass.size, 4), (None, None)]
 
 
 def step_macro(state, mat, weighting, dt_limit, *, context=None):
@@ -117,35 +122,51 @@ def step_macro(state, mat, weighting, dt_limit, *, context=None):
     """
     p_plus = mat.law_plus.pressure(state.rho_plus)
     p_minus = mat.law_minus.pressure(state.rho_minus)
-    p_cells, mu_cells, k, dp = homogenized(state.alpha, p_plus, p_minus, mat, weighting)
+    public = context is None
+    if public:
+        p_cells, mu_cells, k, dp = homogenized(state.alpha, p_plus, p_minus, mat, weighting)
+        context = _run_constants(state)
+    cell_mass, m_node, work, (last_alpha, span) = context
+    _, du, off, scratch, _, *rows, bound = work
+    if not public:  # p_eff into the kernel's off, which it reads before writing
+        span = span if last_alpha is state.alpha else None
+        p_cells, mu_cells, k, dp = _homogenized(state.alpha, p_plus, p_minus, mat, weighting,
+                                                (off, *rows), span)
     del p_plus, p_minus  # the attempts need only k and dp
     dmu = mat.mu_plus - mat.mu_minus
+    np.minimum(state.alpha, np.subtract(1.0, state.alpha, out=bound), out=bound)
+    bound *= RELAX_ETA
+    bound += RELAX_SLACK
+    d_alpha = np.empty_like(bound)  # an attempt's increment, then the new alpha
 
-    def rate(du, dx):
-        return k * (dp - dmu * (du / dx))
+    def rate(du, dx):  # k*(dp - dmu*(du/dx)), in d_alpha
+        r = np.divide(du, dx, out=d_alpha)
+        r *= dmu
+        np.subtract(dp, r, out=r)
+        r *= k
+        return r
 
-    du_old = back_difference(state.u)
-    bound = RELAX_ETA * np.minimum(state.alpha, 1.0 - state.alpha) + RELAX_SLACK
+    du_old = back_difference(state.u, out=du)
     with np.errstate(divide="ignore"):
+        np.divide(bound, np.abs(rate(du_old, state.grid.cell_dx), out=d_alpha), out=d_alpha)
         # dt_limit first: a NaN one then reaches the kernel's check
-        cap = min(dt_limit, float((bound / np.abs(rate(du_old, state.grid.cell_dx))).min()))
-
-    d_alpha = None
+        cap = min(dt_limit, float(np.minimum.reduce(d_alpha)))
 
     def within_bound(u_new, du_new, new_x, new_dx, dt):
-        nonlocal d_alpha
-        d_alpha = dt * rate(du_new, new_dx)
-        return bool((np.abs(d_alpha) <= bound).all())
+        increment = rate(du_new, new_dx)
+        increment *= dt
+        return bool(np.logical_and.reduce(np.abs(increment, out=scratch) <= bound))
 
-    cell_mass, m_node = context or _run_constants(state)
     dt, grid, u, dissipation, _ = _advance(state.grid, state.u, du_old, cell_mass, m_node,
-                                           mu_cells, p_cells, cap, accept=within_bound)
+                                           mu_cells, p_cells, cap, work, accept=within_bound)
 
-    alpha_new, clamps = _clamp(state.alpha + d_alpha)
+    alpha_new, clamps, (lo, hi) = _clamp(np.add(state.alpha, d_alpha, out=d_alpha))
+    context[3] = alpha_new, (lo, hi)
     dx_new = grid.cell_dx
-    rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus)
-    rho_m, guards_m = _phase_density(state.mass_minus, 1.0 - alpha_new, dx_new,
-                                     state.rho_minus)
+    rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus, lo)
+    # 1 - x is monotone, so 1 - hi is the least phase-minus fraction
+    rho_m, guards_m = _phase_density(state.mass_minus, np.subtract(1.0, alpha_new, out=scratch),
+                                     dx_new, state.rho_minus, 1.0 - hi)
 
     return MacroState(grid=grid, u=u, alpha=alpha_new,
                       mass_plus=state.mass_plus, mass_minus=state.mass_minus,

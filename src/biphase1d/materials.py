@@ -37,9 +37,11 @@ class PowerLaw:
 
     def pressure(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if not rho.min(initial=np.inf) >= 0:
+        if not np.minimum.reduce(rho, None, initial=np.inf) >= 0:
             raise ValueError("density must be >= 0")
-        return self.K * rho**self.gamma
+        p = rho**self.gamma
+        p *= self.K
+        return p
 
     def potential(self, rho):
         """Energy density rho * integral_1^rho p(s)/s^2 ds.
@@ -71,10 +73,10 @@ class MaterialPair:
             raise ValueError("viscosities must be > 0 and finite")
 
 
-def _check_fraction(w, name):
-    """w as a float array, and whether every entry lies inside (0, 1)."""
+def _check_fraction(w, name, span=None):
+    """w as a float array, and whether every entry lies inside (0, 1); w's (min, max) is span."""
     w = np.asarray(w, dtype=float)
-    lo, hi = w.min(initial=np.inf), w.max(initial=-np.inf)
+    lo, hi = span or (w.min(initial=np.inf), w.max(initial=-np.inf))
     if not (lo >= 0 and hi <= 1):
         raise ValueError(f"{name} must lie in [0, 1]")
     return w, 0 < lo and hi < 1
@@ -111,7 +113,8 @@ def mixture_potential(c, rho, mat):
 def _check_phase_pressures(p_plus, p_minus):
     p_plus = np.asarray(p_plus, dtype=float)
     p_minus = np.asarray(p_minus, dtype=float)
-    if not (p_plus.min(initial=np.inf) >= 0 and p_minus.min(initial=np.inf) >= 0):
+    if not (np.minimum.reduce(p_plus, None, initial=np.inf) >= 0
+            and np.minimum.reduce(p_minus, None, initial=np.inf) >= 0):
         raise ValueError("phase pressures must be >= 0")
     return p_plus, p_minus
 
@@ -122,35 +125,47 @@ def homogenized(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
     Returns ``(p_eff, mu_eff, k, dp)``: the effective pressure and
     viscosity, the relaxation factor k = alpha*(1-alpha)/D and the phase
     pressure difference dp = p_plus - p_minus, so that the volume-fraction
-    rate is ``k * (dp - (mu_+ - mu_-) * du_dx)``.  Checks alpha, the
-    weighting and the phase pressures, in that order; ``p_eff``,
-    ``mu_eff`` and ``relaxation_rhs`` document the formulas.
+    rate is ``k * (dp - (mu_+ - mu_-) * du_dx)``, each a new array of the
+    inputs' broadcast shape.  Checks alpha, the weighting and the phase
+    pressures, in that order; ``p_eff``, ``mu_eff`` and ``relaxation_rhs``
+    document the formulas.
     """
-    alpha, all_mixed = _check_fraction(alpha, "volume fraction")
+    return _homogenized(alpha, p_plus, p_minus, mat, weighting)
+
+
+def _homogenized(alpha, p_plus, p_minus, mat, weighting, out=None, span=None):
+    """homogenized, into the four arrays ``out`` if given, with alpha's (min, max)
+    ``span``; 1 - alpha waits in k, D in mu_eff and a pressure term in dp."""
+    alpha, all_mixed = _check_fraction(alpha, "volume fraction", span)
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
     p_p, p_m = _check_phase_pressures(p_plus, p_minus)
-    one_minus = 1.0 - alpha
-    denom = alpha * mat.mu_minus + one_minus * mat.mu_plus  # D, > 0 on [0, 1]
-
-    def pure_or(plus, minus, mixed):
-        """``plus`` where alpha == 1, ``minus`` where alpha == 0, else
-        ``mixed``; an ndarray, as np.where returns, with no pass if no cell
-        is pure."""
-        if all_mixed:
-            return np.asarray(mixed)
-        return np.where(alpha == 1.0, plus, np.where(alpha == 0.0, minus, mixed))
-
-    if weighting == WEIGHTING_CROSS:
-        num = alpha * p_p * mat.mu_minus + one_minus * p_m * mat.mu_plus
-        p_cells = pure_or(p_p, p_m, num / denom)
-    else:
-        p_cells = (alpha * p_p * mat.mu_plus + one_minus * p_m * mat.mu_minus) / denom
+    p_cells, mu_cells, k, dp = out or (
+        np.empty(np.broadcast_shapes(alpha.shape, p_p.shape, p_m.shape)) for _ in range(4))
+    one_minus = np.subtract(1.0, alpha, out=k)
+    denom = np.multiply(alpha, mat.mu_minus, out=mu_cells)
+    denom += np.multiply(one_minus, mat.mu_plus, out=p_cells)  # D, > 0 on [0, 1]
+    cross = weighting == WEIGHTING_CROSS  # each phase pressure with the other mu
+    np.multiply(alpha, p_p, out=p_cells)
+    p_cells *= mat.mu_minus if cross else mat.mu_plus
+    np.multiply(one_minus, p_m, out=dp)
+    dp *= mat.mu_plus if cross else mat.mu_minus
+    p_cells += dp
+    p_cells /= denom
+    k *= alpha
+    k /= denom
     if mat.mu_plus == mat.mu_minus:
-        mu_cells = np.full_like(alpha, mat.mu_plus)
+        mu_cells.fill(mat.mu_plus)
     else:
-        mu_cells = pure_or(mat.mu_plus, mat.mu_minus, mat.mu_plus * mat.mu_minus / denom)
-    return p_cells, mu_cells, alpha * one_minus / denom, p_p - p_m
+        np.divide(mat.mu_plus * mat.mu_minus, denom, out=mu_cells)
+    if not all_mixed:  # patch the pure cells
+        one, zero = alpha == 1.0, alpha == 0.0
+        for a, plus, minus in ((mu_cells, mat.mu_plus, mat.mu_minus),
+                               (p_cells, p_p, p_m))[:1 + cross]:
+            np.copyto(a, plus, where=one)
+            np.copyto(a, minus, where=zero)
+    np.subtract(p_p, p_m, out=dp)
+    return p_cells, mu_cells, k, dp
 
 
 def mu_eff(alpha, mat):

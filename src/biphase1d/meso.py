@@ -12,7 +12,7 @@ from . import diagnostics
 from .errors import SolverError
 # mixture_pressure and lagrangian_step are unused here: perfbench/probes.py binds them
 from .materials import mixture_pressure, mixture_viscosity  # noqa: F401
-from .stepping import StaggeredGrid, _advance, back_difference, node_mass
+from .stepping import StaggeredGrid, _advance, _workspace, back_difference, node_mass
 from .stepping import lagrangian_step  # noqa: F401
 
 
@@ -70,13 +70,14 @@ def init_meso_riemann(J, stride=1):
 
 
 def _run_constants(state, mat):
-    """Node masses, viscosities and phase-+ mask of a run from state, after
-    step_meso's checks in its order: purity, density (a mass's sign), masses."""
+    """Node masses, viscosities, phase-+ mask and workspace of a run from state,
+    after step_meso's checks in its order: purity, density (a mass's sign), masses."""
     if (state.c * (1.0 - state.c) != 0.0).any():
         raise ValueError("color field must be exactly 0 or 1 in every cell")
     if not np.asarray(state.cell_mass).min(initial=np.inf) >= 0:
         raise ValueError("density must be >= 0")
-    return node_mass(state.cell_mass), mixture_viscosity(state.c, mat), state.c == 1.0
+    return (node_mass(state.cell_mass), mixture_viscosity(state.c, mat), state.c == 1.0,
+            _workspace(state.c.size))
 
 
 def step_meso(state, mat, dt_limit, *, context=None):
@@ -84,12 +85,13 @@ def step_meso(state, mat, dt_limit, *, context=None):
     Lagrangian kernel, with dt capped by dt_limit.  The color field and
     the cell masses are carried over untouched.  ``context`` is what
     run_meso passes: the run constants of its first state."""
-    m_node, mu_cells, plus = context or _run_constants(state, mat)
-    rho = state.cell_mass / state.grid.cell_dx
+    m_node, mu_cells, plus, work = context or _run_constants(state, mat)
+    rho = np.divide(state.cell_mass, state.grid.cell_dx, out=work[3])
     # a pure cell reads only its own phase's law, as in mixture_pressure
     p_cells = np.where(plus, mat.law_plus.pressure(rho), mat.law_minus.pressure(rho))
-    dt, grid, u, dissipation, _ = _advance(state.grid, state.u, back_difference(state.u),
-                                           state.cell_mass, m_node, mu_cells, p_cells, dt_limit)
+    du_old = back_difference(state.u, out=work[1])
+    dt, grid, u, dissipation, _ = _advance(state.grid, state.u, du_old, state.cell_mass, m_node,
+                                           mu_cells, p_cells, dt_limit, work)
     return MesoState(grid=grid, u=u, cell_mass=state.cell_mass, c=state.c,
                      t=state.t + dt, dissipated=state.dissipated + dissipation)
 

@@ -9,7 +9,8 @@ are kept unwrapped (strictly increasing); the torus seam is closed by the
 unit length.
 
 Each range check is one min or max reduction: a NaN carries through it and
-fails the comparison, and its ``initial`` lets an empty array pass.
+fails the comparison, and its ``initial`` lets an empty array pass.  A step
+calls the ufunc's reduce, without the ndarray method's costly Python wrapper.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepFailure
-from .tridiag import solve_cyclic_tridiagonal
+# solve_cyclic_tridiagonal is unused here: perfbench/probes.py binds it
+from .tridiag import _solve, solve_cyclic_tridiagonal  # noqa: F401
 
 _CFL_EPS = 1e-12
 
@@ -36,9 +38,9 @@ CFL_THETA = 0.4
 # roll gives for shifts -1 and 1 (and a minus the latter), without roll's
 # general path, which costs several times as much at J = 1000.
 
-def right_neighbour(a):
-    """Entry j holds a[j + 1 mod n]."""
-    out = np.empty_like(a)
+def right_neighbour(a, out=None):
+    """Entry j holds a[j + 1 mod n]; into ``out`` if given."""
+    out = np.empty_like(a) if out is None else out
     out[:-1] = a[1:]
     out[-1] = a[0]
     return out
@@ -52,9 +54,9 @@ def left_neighbour(a):
     return out
 
 
-def back_difference(a):
-    """Entry j holds a[j] - a[j - 1 mod n]."""
-    out = np.empty_like(a)
+def back_difference(a, out=None):
+    """Entry j holds a[j] - a[j - 1 mod n]; into ``out`` if given."""
+    out = np.empty_like(a) if out is None else out
     np.subtract(a[1:], a[:-1], out=out[1:])
     out[0] = a[0] - a[-1]
     return out
@@ -151,15 +153,21 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
         raise ValueError("node masses must be > 0")
     if not mu.min(initial=np.inf) >= 0:
         raise ValueError("viscosities must be >= 0")
-    return _assemble(grid.cell_dx, np.asarray(u_old, dtype=float), mu, p, node_mass, dt)
+    return _assemble(grid.cell_dx, np.asarray(u_old, dtype=float), mu, right_neighbour(p) - p,
+                     node_mass, dt, *(np.empty(grid.J) for _ in range(3)))
 
 
-def _assemble(cell_dx, u_old, mu, p, m_node, dt):
-    w_left = dt * mu / cell_dx
-    w_right = right_neighbour(w_left)
-    diag = m_node + w_left + w_right
-    rhs = m_node * u_old - dt * (right_neighbour(p) - p)
-    return diag, -w_right, rhs
+def _assemble(cell_dx, u_old, mu, dp, m_node, dt, diag, off, rhs):
+    """assemble_momentum's system into diag, off and rhs; dp = right_neighbour(p) - p."""
+    np.multiply(m_node, u_old, out=rhs)
+    rhs -= np.multiply(dp, dt, out=off)
+    w_left = np.multiply(mu, dt, out=diag)
+    w_left /= cell_dx
+    w_right = right_neighbour(w_left, out=off)
+    np.add(m_node, w_left, out=diag)
+    diag += w_right
+    np.negative(w_right, out=off)
+    return diag, off, rhs
 
 
 def choose_dt(grid, u_old):
@@ -171,8 +179,8 @@ def choose_dt(grid, u_old):
     return _cfl_dt(grid.cell_dx, back_difference(np.asarray(u_old, dtype=float)))
 
 
-def _cfl_dt(cell_dx, du):
-    return CFL_THETA * cell_dx.min() / (np.abs(du).max() + _CFL_EPS)
+def _cfl_dt(cell_dx, du):  # overwrites du
+    return CFL_THETA * np.minimum.reduce(cell_dx) / (np.abs(du, out=du).max() + _CFL_EPS)
 
 
 def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=None):
@@ -198,33 +206,46 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=
     attempt_ok = None if accept is None else (
         lambda u_new, du_new, x, dx, dt: accept(u_new, StaggeredGrid._of(x, dx), dt))
     return StepOutcome(*_advance(grid, u_old, back_difference(u_old), cell_mass, m_node,
-                                 mu_cells, p_cells, dt_limit, attempt_ok))
+                                 mu_cells, p_cells, dt_limit, _workspace(u_old.size),
+                                 attempt_ok))
 
 
-def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit,
+def _workspace(n, extra=0):
+    """A run's scratch rows of n doubles: _advance's dp, du, off, diag and b,
+    the solve's Fortran-ordered (n, 2) view of two rows; then ``extra``."""
+    block = np.empty((6 + extra, n))
+    return (*block[:4], block[4:6].T, *block[6:])
+
+
+def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit, work,
              accept=None):
     """lagrangian_step on checked float arrays, du_old = back_difference(u_old)
     and m_node = node_mass(cell_mass), making only the checks whose outcome can
-    change in a run; ``accept(u_new, du_new, new_x, new_dx, dt)``."""
+    change in a run; ``accept(u_new, du_new, new_x, new_dx, dt)`` may use
+    diag.  Every temporary goes into ``work``; du_old and p_cells may be its
+    du, off or diag, as both are read before those are written."""
     if not np.isfinite(p_cells).all():
         raise StepFailure("cell pressures are not all finite")
     if not 0 < dt_limit < np.inf:
         raise ValueError("dt_limit must be > 0 and finite")
 
+    dp, du, off, diag, b = work[:5]
+    # dt does not enter dp, so the attempts share it
+    np.subtract(right_neighbour(p_cells, out=dp), p_cells, out=dp)
     dx = grid.cell_dx
     dt = min(_cfl_dt(dx, du_old), dt_limit)
     if not dt > 0:  # a non-finite u_old
         raise ValueError("dt must be > 0")
 
     for halvings in range(MAX_HALVINGS + 1):
-        # the system stays unnamed so it dies at once: fewer live temporaries
-        # at large J keep the heap from being trimmed and refaulted every step
-        u_new = solve_cyclic_tridiagonal(*_assemble(dx, u_old, mu_cells, p_cells, m_node, dt))
+        _assemble(dx, u_old, mu_cells, dp, m_node, dt, diag, off, b[:, 0])
+        u_new = _solve(diag, off, b)
         # mesh motion: the widths still add up to the unit length
-        new_x = grid.node_x + dt * u_new
+        new_x = np.multiply(u_new, dt)
+        new_x += grid.node_x
         new_dx = _widths(new_x, grid.length)
-        if new_dx.min() > 0:  # else the mesh inverted
-            du_new = back_difference(u_new)
+        if np.minimum.reduce(new_dx) > 0:  # else the mesh inverted
+            du_new = back_difference(u_new, out=du)
             if accept is None or accept(u_new, du_new, new_x, new_dx, dt):
                 break
         if halvings == MAX_HALVINGS:
@@ -236,11 +257,15 @@ def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit
             )
         dt *= 0.5
 
-    rho = cell_mass / new_dx
-    if not (rho.min(initial=np.inf) >= RHO_SANE_MIN
-            and rho.max(initial=-np.inf) <= RHO_SANE_MAX):
+    rho = np.divide(cell_mass, new_dx, out=off)
+    if not (np.minimum.reduce(rho, initial=np.inf) >= RHO_SANE_MIN
+            and np.maximum.reduce(rho, initial=-np.inf) <= RHO_SANE_MAX):
         raise StepFailure(f"density left the sane range [{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
                           diagnostics={"dt": dt})
 
-    dissipation = dt * float((mu_cells * (du_new / dx)**2 * dx).sum())
+    # mu (du/dx)^2 dx, in du_new's row
+    np.square(np.divide(du_new, dx, out=du_new), out=du_new)
+    du_new *= mu_cells
+    du_new *= dx
+    dissipation = dt * float(np.add.reduce(du_new))
     return dt, StaggeredGrid._of(new_x, new_dx), u_new, dissipation, halvings

@@ -9,8 +9,14 @@ The corners are removed with a symmetric rank-one correction, leaving two
 symmetric tridiagonal solves that share one LDL^T factorization without
 pivoting, LAPACK's ``dptsv``.  That factorization exists for a positive
 definite matrix, which the momentum step always produces.
+
+``_solve`` holds the arithmetic and the checks and works in place: ``dptsv``
+overwrites the corrected diagonal, the off-diagonal and a Fortran-ordered
+(n, 2) array of both right-hand sides.  A run passes rows of its workspace
+(``stepping._workspace``); ``solve_cyclic_tridiagonal`` passes fresh copies.
 """
 
+import math
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from pathlib import Path
@@ -74,30 +80,32 @@ def solve_cyclic_tridiagonal(diag, off, rhs):
     for name, a in (("off", off), ("rhs", rhs)):
         if a.shape != (n,):
             raise ValueError(f"{name} must have shape ({n},)")
+    b = np.empty((n, 2), order="F")
+    b[:, 0] = rhs
+    return _solve(diag.copy(), off.copy(), b)
 
+
+def _solve(diag, off, b):
+    """solve_cyclic_tridiagonal on checked arrays, overwriting diag, off and
+    b, a Fortran-ordered (n, 2) array with rhs in column 0; x is new."""
+    n = diag.size
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
     c = off[-1] / gamma
-    t_diag = diag.copy()
-    t_diag[0] -= gamma
-    t_diag[-1] -= off[-1] * c
+    diag[0] -= gamma
+    diag[-1] -= off[-1] * c
+    z = b[:, 1]
+    z.fill(0.0)
+    z[0] = gamma
+    z[-1] = off[-1]
 
-    # both right-hand sides in one (n, 2) buffer: solving them as two (n,)
-    # arrays (dpttrs for the second, on dptsv's factors) is bit-identical
-    # but slower at n = 1e5 in a run, as without this 1.6 MB buffer glibc's
-    # dynamic trim threshold stays low and each step refaults its pages
-    b = np.zeros((n, 2), order="F")
-    b[:, 0] = rhs
-    b[0, 1] = gamma
-    b[-1, 1] = off[-1]
-
-    pivots, _, yz, info = dptsv(t_diag, off[:-1], b, overwrite_d=1, overwrite_b=1)
+    pivots, _, yz, info = dptsv(diag, off[:-1], b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info > 0:
         raise SingularSystemError(
             "cyclic tridiagonal system not positive definite "
             f"(pivot at row {info - 1})", index=info - 1)
     # the pivots are then positive or NaN; an inf in diag leaves an inf
     # pivot and y, z finite but wrong
-    if not pivots.max() < np.inf:
+    if not np.maximum.reduce(pivots) < np.inf:
         idx = int(np.argmax(~np.isfinite(pivots)))
         raise SingularSystemError(
             f"singular cyclic tridiagonal system (non-finite pivot at row {idx})", index=idx)
@@ -106,12 +114,13 @@ def solve_cyclic_tridiagonal(diag, off, rhs):
     vy = y[0] + c * y[-1]
     vz = 1.0 + z[0] + c * z[-1]
     # a singular A leaves 1 + v.z at the rounding of its terms, not at 0
-    if not np.isfinite(vz) or abs(vz) < n * _EPS * (1.0 + abs(z[0]) + abs(c * z[-1])):
+    if not math.isfinite(vz) or abs(vz) < n * _EPS * (1.0 + abs(z[0]) + abs(c * z[-1])):
         raise SingularSystemError("singular cyclic tridiagonal system "
                                   "(corner correction degenerate)", index=n - 1)
-    x = y - (vy / vz) * z
+    z *= vy / vz
+    x = y - z
     # a NaN fails both comparisons
-    if not (x.min() > -np.inf and x.max() < np.inf):
+    if not (np.minimum.reduce(x) > -np.inf and np.maximum.reduce(x) < np.inf):
         idx = int(np.argmax(~np.isfinite(x)))
         raise SingularSystemError(
             f"singular cyclic tridiagonal system (non-finite solution at row {idx})",

@@ -538,8 +538,11 @@ def test_alpha_clamp_in_both_regimes(J, data):
     inside = MIXED | st.just(1.0)
     outside = PURE | st.sampled_from((-5e-324, -1e-7, np.nextafter(1.0, 2.0), 1.5, np.nan))
     alpha_raw = with_specials(data.draw, J, inside, outside)
-    alpha_new, clamps = _clamp(alpha_raw.copy())
+    alpha_new, clamps, span = _clamp(alpha_raw.copy())
 
     want = alpha_raw.clip(0.0, 1.0)
     assert same_array(alpha_new, want)
     assert clamps == np.count_nonzero(want != alpha_raw)
+    # the (min, max) the next run-path step checks alpha's range with
+    assert np.array_equal(span, (want.min(initial=np.inf), want.max(initial=-np.inf)),
+                          equal_nan=True)

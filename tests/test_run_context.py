@@ -7,9 +7,15 @@ result of run_scheme driven by the public steps.  A runner holds no
 reference to its initial state once the first step is done.  A state fed
 straight into a public step meets the checks, messages and order that the
 steps had before the constants were hoisted.
+
+The context also holds the run's workspace, the scratch arrays every step
+overwrites.  No state array lives in it, so a state stays the value it was
+when its step returned, and a run-path step allocates only the arrays of the
+state it returns and its pressure-law evaluations.
 """
 
 import dataclasses
+import tracemalloc
 import weakref
 from unittest.mock import patch
 
@@ -134,6 +140,88 @@ def test_runner_frees_the_initial_state_after_the_first_step(scheme, module, run
     monkeypatch.setattr(module, f"step_{scheme}", checked)
     state, _ = runner(parse_config("test2", {"scheme": scheme, "cells": 16, "t_end": 5e-4}))
     assert len(initial) == 1 and len(calls) >= 3 and state.t == 5e-4
+
+
+def state_arrays(state):
+    """Every array of a state, the grid's included, by name."""
+    arrays = {"node_x": state.grid.node_x, "cell_dx": state.grid.cell_dx}
+    arrays.update((f.name, getattr(state, f.name)) for f in dataclasses.fields(state)
+                  if isinstance(getattr(state, f.name), np.ndarray))
+    return arrays
+
+
+@example(scheme="macro", half_J=12, t_end=0.01, weighting="paper", stiff=True, pure=True,
+         max_halvings=1)
+@settings(max_examples=25, deadline=None)
+@given(scheme=st.sampled_from(("meso", "macro")), half_J=st.integers(2, 24),
+       t_end=st.floats(1e-4, 0.01), weighting=st.sampled_from(("cross", "paper")),
+       stiff=st.booleans(), pure=st.booleans(), max_halvings=st.integers(0, 3))
+def test_states_stay_values_and_never_live_in_the_workspace(scheme, half_J, t_end, weighting,
+                                                           stiff, pure, max_halvings):
+    config = parse_config("test2", {"scheme": scheme, "cells": 2 * half_J, "t_end": t_end,
+                                    "weighting": weighting, **(STIFF if stiff else {})})
+    module = meso if scheme == "meso" else macro
+    step = getattr(module, f"step_{scheme}")
+    kept, workspaces = [], []
+
+    def keep(state):
+        kept.append((state, {name: a.copy() for name, a in state_arrays(state).items()}))
+
+    def watched(state, *args, context, **kwargs):
+        if not kept:
+            keep(state)
+        workspaces.append(context[3] if scheme == "meso" else context[2])
+        out = step(state, *args, context=context, **kwargs)
+        keep(out)
+        return out
+
+    with (patch.object(stepping, "MAX_HALVINGS", max_halvings),
+          patch.object(macro, "init_macro_riemann",
+                       pure_cell_datum if pure else init_macro_riemann),
+          patch.object(module, f"step_{scheme}", watched),
+          np.errstate(over="ignore", invalid="ignore")):
+        outcome(lambda: (run_meso if scheme == "meso" else run_macro)(config))
+
+    assert kept and all(w is workspaces[0] for w in workspaces)
+    for state, copies in kept:
+        for name, a in state_arrays(state).items():
+            assert np.array_equal(a, copies[name], equal_nan=True), name
+            assert not any(np.shares_memory(a, w) for w in workspaces[0]), name
+
+
+def peak_new_arrays(step, state, J):
+    """The most arrays of J doubles that ``step(state)`` holds at once,
+    beyond those alive before it, from tracemalloc's peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step(state)
+        return int((tracemalloc.get_traced_memory()[1] - before) / (8 * J))
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme, budget", (("meso", 4), ("macro", 6)), ids=("meso", "macro"))
+def test_a_run_path_step_allocates_only_what_outlives_it(scheme, budget):
+    # the new state's u, node_x and cell_dx, with meso's cell pressures (the
+    # np.where of its law evaluations) or macro's alpha and rho_+-; the
+    # workspace holds every other temporary (12 and 15 arrays when each step
+    # made its own)
+    J = 10_000
+    config = parse_config("test2", {"cells": J})
+    if scheme == "meso":
+        state = init_meso_riemann(J)
+        context = meso._run_constants(state, config.mat)
+        step = lambda s: step_meso(s, config.mat, config.dt_max, context=context)  # noqa: E731
+    else:
+        state = init_macro_riemann(J)
+        context = macro._run_constants(state)
+        step = lambda s: step_macro(s, config.mat, config.weighting,  # noqa: E731
+                                    config.dt_max, context=context)
+    for _ in range(2):  # past the first step, and with alpha's range carried
+        state = step(state)
+    assert peak_new_arrays(step, state, J) == budget
 
 
 # Error parity: each fault below makes the public step fail on its own, in

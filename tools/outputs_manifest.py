@@ -1,27 +1,35 @@
 """Print the sha256 of every output file of the usual six runs, so that two
 checkouts can be compared byte for byte:
 
-    python3 tools/outputs_manifest.py > before.txt   # in one checkout
-    python3 tools/outputs_manifest.py > after.txt    # in the other
-    diff before.txt after.txt
+    python3 tools/outputs_manifest.py                 # this checkout's manifest
+    python3 tools/outputs_manifest.py --against HEAD  # diff against a commit
 
 The runs use the package in this checkout's ``src`` and write into a
 temporary directory, which is removed afterwards.  Each line is
 ``sha256  path``, the path relative to that directory.  ``config.json`` is
 left out, as it records the directory.  The runs' own messages go to
 stderr; a run that does not exit 0 ends the script with status 1.
+
+``--against REV`` exports REV with ``git archive`` into a temporary
+directory, runs this script's six runs with the package of that tree and
+with this checkout's, each in a fresh process, and prints the unified diff
+of the two manifests.  It exits 1 on any difference.
 """
 
+import argparse
+import difflib
 import hashlib
+import io
 import json
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from biphase1d.cli import main  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 # the relaxation-capped macro config whose steps retry, and test2 at J = 1e5
 RETRY = {"preset": "test2", "scheme": "macro", "gamma_minus": 5, "K_minus": 10,
@@ -46,6 +54,9 @@ def manifest(root):
 
 
 def run_all():
+    sys.path.insert(0, str(ROOT / "src"))
+    from biphase1d.cli import main
+
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, argv in RUNS.items():
@@ -59,5 +70,37 @@ def run_all():
     return 0
 
 
+def against(rev):
+    """Diff the manifest of a ``git archive`` of rev against this checkout's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+        if archive.returncode != 0:
+            sys.stderr.write(archive.stderr.decode())
+            return 1
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
+        # this script in both trees, so that both make the same runs
+        (tree / "tools").mkdir(exist_ok=True)
+        shutil.copyfile(__file__, tree / "tools" / "outputs_manifest.py")
+        manifests = []
+        for root in (tree, ROOT):
+            done = subprocess.run([sys.executable, str(root / "tools" / "outputs_manifest.py")],
+                                  stdout=subprocess.PIPE, text=True)
+            if done.returncode != 0:
+                print(f"the manifest of {root} failed", file=sys.stderr)
+                return 1
+            manifests.append(done.stdout.splitlines(keepends=True))
+    diff = list(difflib.unified_diff(*manifests, fromfile=rev, tofile="this checkout"))
+    sys.stdout.writelines(diff)
+    print(f"{len(manifests[1])} files here, {len(manifests[0])} at {rev}: "
+          f"{'they differ' if diff else 'no difference'}", file=sys.stderr)
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    sys.exit(run_all())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="diff against the manifest of this git revision")
+    args = parser.parse_args()
+    sys.exit(against(args.against) if args.against else run_all())
