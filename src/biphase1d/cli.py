@@ -199,17 +199,17 @@ def _load_json(text):
 # table formatting would hold tens of MB at J=1e5; 8192 rows measured slower
 _BLOCK_ROWS = 4096
 
-# |v| the array path formats; with log10's miss and the rounding carry, their
-# decimal exponents X stay inside the tables' _X_MIN.._X_MAX, where neither
-# 10**(16 - X) nor the Veltkamp split of a value or a power overflows
+# |v| the array path formats; their decimal exponents X = floor(log10|v|),
+# log10's miss of one included, stay inside the tables' _X_MIN.._X_MAX, where
+# neither 10**(16 - X) nor the Veltkamp split of a value or a power overflows
 _ARRAY_MIN, _ARRAY_MAX = 1e-270, 1e270
 _X_MIN, _X_MAX = -272, 272
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
-# Outside 0 <= 16 - X <= 22 the scaled value is within 5e-15 of exact (the
-# residual power's own rounding, two rounded terms under 20, and the omitted
-# 2**-106 of a product under 1e17).  That error cannot change the nearest
-# integer unless the value is this close to a tie n + 1/2; such a value takes
-# Python's "%.17g".
+# The scaled value is exact where 0 <= 16 - X <= 22 and within 5e-15 of exact
+# elsewhere (the residual power's own rounding, two rounded terms under 20,
+# and the omitted 2**-106 of a product under 1e17).  That error cannot change
+# the nearest integer unless the value is this close to a tie n + 1/2; such a
+# value, an exact tie too, takes Python's "%.17g".
 _CERTIFY = 1e-12
 # Bytes per value: sign, the "0.000" of -4 <= X < 0, the 17 digits each
 # followed by a point slot, the exponent, and the separator in the last byte.
@@ -229,10 +229,9 @@ def _format_tables():
 
     Per decimal exponent X: 10**(16 - X) as its nearest double ``power``
     (with its Veltkamp halves) plus the correctly rounded residual
-    ``residual`` (0 where the power is exact); the largest distance from an
-    integer that certifies the rounding (1, i.e. any, where exact); the head
-    word ("0." and zeros for -4 <= X < 0), the tail word ("e-05" outside
-    -4 <= X < 17) and the digit the point follows (-1: the head has it).
+    ``residual`` (0 where the power is exact); the head word ("0." and
+    zeros for -4 <= X < 0), the tail word ("e-05" outside -4 <= X < 17) and
+    the digit the point follows (-1: the head has it).
     Per 4-digit group: its digits, each followed by an empty point slot, as
     one word, plain (rows 0-9999) and with trailing zeros blanked (+10000).
     """
@@ -260,23 +259,9 @@ def _format_tables():
     quads[10000:, ::2] = np.where(trailing, 0, digits)
     return SimpleNamespace(
         power=power, power_halves=_split(power), residual=residual,
-        certified=np.where(residual == 0.0, 1.0, 0.5 - _CERTIFY),
         head=words(head), tail=words(tail), point=np.array(point),
         lead=words([b"\0" * 6 + bytes([48 + d]) for d in range(10)]),
         quads=quads.view(np.uint64).ravel())
-
-
-def _scaled(a, X):
-    """a * 10**(16 - X) as p + r, p the rounded product, and where that sum
-    certainly rounds to the nearest integer of the exact product."""
-    t = _format_tables()
-    k = X - _X_MIN
-    p = a * t.power.take(k)
-    ah, al = _split(a)
-    bh, bl = t.power_halves[0].take(k), t.power_halves[1].take(k)
-    # Dekker's two-product: a * power == p + (the bracket), exactly
-    r = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * t.residual.take(k)
-    return p, r, np.abs(r - np.rint(r)) < t.certified.take(k)
 
 
 def _format_rows(block):
@@ -284,11 +269,13 @@ def _format_rows(block):
     rows ended by LF: byte for byte what np.savetxt writes.
 
     A value's 17 significant digits are round(|v| * 10**(16 - X)), half to
-    even, for its decimal exponent X.  _scaled forms that product as a
-    double-double, and int64 arithmetic and lookup tables expand it into a
-    fixed field of bytes whose NULs are dropped at the end.  The values it
-    cannot certify (0, nan, inf, |v| outside _ARRAY_MIN.._ARRAY_MAX, and
-    products within _CERTIFY of a tie) take Python's "%.17g".
+    even, for its decimal exponent X.  The product is formed once, as a
+    double-double p + r at X = floor(log10|v|), and int64 arithmetic and
+    lookup tables expand it into a fixed field of bytes whose NULs are
+    dropped at the end.  The values this cannot certify take Python's
+    "%.17g": 0, nan, inf, |v| outside _ARRAY_MIN.._ARRAY_MAX, log10's
+    misses (p + r outside [1e16, 1e17)), carries (the rounding reaches
+    10**17) and products within _CERTIFY of a tie, exact ones included.
     """
     v = block.ravel()
     n = v.size
@@ -296,25 +283,21 @@ def _format_rows(block):
     ok = (a >= _ARRAY_MIN) & (a <= _ARRAY_MAX)
     a[~ok] = 1.0
     X = np.floor(np.log10(a)).astype(np.intp)
-    p, r, sure = _scaled(a, X)
-    # where log10 missed, the product leaves [1e16, 1e17): move X by one
-    low = (p - 1e16) + r < 0
-    high = (p - 1e17) + r >= 0
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        X[fix] += high[fix].astype(np.intp) - low[fix]
-        p[fix], r[fix], sure[fix] = _scaled(a[fix], X[fix])
-        sure[fix] &= ((p[fix] - 1e16) + r[fix] >= 0) & ((p[fix] - 1e17) + r[fix] < 0)
-    # p >= 2**53 is an even integer, so rint's ties to even round p + r so too
-    D = p.astype(np.int64) + np.rint(r).astype(np.int64)
-    fallback = np.flatnonzero(~(ok & sure))
-    D[fallback] = 10 ** 16
-    top = D == 10 ** 17  # rounded up to the next power of ten
-    D[top] = 10 ** 16
-    X += top
-
     t = _format_tables()
     k = X - _X_MIN
+    p = a * t.power.take(k)
+    ah, al = _split(a)
+    bh, bl = t.power_halves[0].take(k), t.power_halves[1].take(k)
+    # Dekker's two-product: a * power == p + (the bracket), exactly
+    r = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * t.residual.take(k)
+    nearest = np.rint(r)
+    # p >= 2**53 is an even integer, so rint's ties to even round p + r so too
+    D = p.astype(np.int64) + nearest.astype(np.int64)
+    # D < 10**17 rejects both a high miss and a carry
+    sure = ok & (np.abs(r - nearest) < 0.5 - _CERTIFY) & ((p - 1e16) + r >= 0) & (D < 10 ** 17)
+    fallback = np.flatnonzero(~sure)
+    D[fallback] = 10 ** 16
+
     first9 = D // 10 ** 8
     last8 = D - first9 * 10 ** 8
     d0 = first9 // 10 ** 8

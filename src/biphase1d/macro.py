@@ -68,12 +68,12 @@ def init_macro_riemann(J):
                       rho_plus=rho_p, rho_minus=rho_m)
 
 
-def _phase_density(mass, fraction, dx, rho_old, lowest=None):
+def _phase_density(mass, fraction, dx, rho_old, lowest):
     """Phase density mass / (fraction * dx), frozen at rho_old where the
     phase volume vanishes; also returns how many such cells hold mass.
     The density is an ndarray, as np.where returns; no np.where pass runs
     when every phase volume (``lowest`` the least) is above ALPHA_GUARD."""
-    if (fraction.min(initial=np.inf) if lowest is None else lowest) > ALPHA_GUARD:
+    if lowest > ALPHA_GUARD:
         rho = np.asarray(fraction * dx)
         return np.divide(mass, rho, out=rho), 0
     ok = fraction > ALPHA_GUARD
@@ -90,7 +90,8 @@ def _clamp(alpha_raw):
     if lo > 0 and hi <= 1:
         return alpha_raw, 0, (lo, hi)
     alpha_new = alpha_raw.clip(0.0, 1.0)
-    return alpha_new, int(np.count_nonzero(alpha_new != alpha_raw)), (max(lo, 0.0), min(hi, 1.0))
+    span = (min(max(lo, 0.0), 1.0), max(min(hi, 1.0), 0.0))  # both ends clipped; NaN stays
+    return alpha_new, int(np.count_nonzero(alpha_new != alpha_raw)), span
 
 
 def _run_constants(state):
@@ -118,7 +119,7 @@ def step_macro(state, mat, weighting, dt_limit, *, context=None):
     k = alpha*(1-alpha)/D and dp = p_+ - p_- once; the public ``p_eff``,
     ``mu_eff`` and ``relaxation_rhs`` are views of it.
     An attempt then costs the relaxation rate k*(dp - (mu_+ - mu_-)*u_x).
-    ``context`` is what run_macro passes: the run constants of its first state.
+    ``context`` is what run_scheme passes: the run constants of the run's first state.
     """
     p_plus = mat.law_plus.pressure(state.rho_plus)
     p_minus = mat.law_minus.pressure(state.rho_minus)
@@ -178,11 +179,8 @@ def step_macro(state, mat, weighting, dt_limit, *, context=None):
 
 def run_macro(config):
     """Run the homogenized scheme from the Riemann datum to config.t_end."""
-    context = None
-
-    def advance(state, dt_limit):
-        nonlocal context
-        context = context or _run_constants(state)
-        return step_macro(state, config.mat, config.weighting, dt_limit, context=context)
-
-    return run_scheme(init_macro_riemann(config.cells), advance, config)
+    return run_scheme(init_macro_riemann(config.cells),
+                      lambda state, dt_limit, context: step_macro(state, config.mat,
+                                                                  config.weighting, dt_limit,
+                                                                  context=context),
+                      _run_constants, config)

@@ -84,7 +84,7 @@ def step_meso(state, mat, dt_limit, *, context=None):
     """Advance one step: mixture coefficients per cell, then the shared
     Lagrangian kernel, with dt capped by dt_limit.  The color field and
     the cell masses are carried over untouched.  ``context`` is what
-    run_meso passes: the run constants of its first state."""
+    run_scheme passes: the run constants of the run's first state."""
     m_node, mu_cells, plus, work = context or _run_constants(state, mat)
     rho = np.divide(state.cell_mass, state.grid.cell_dx, out=work[3])
     # a pure cell reads only its own phase's law, as in mixture_pressure
@@ -96,9 +96,12 @@ def step_meso(state, mat, dt_limit, *, context=None):
                      t=state.t + dt, dissipated=state.dissipated + dissipation)
 
 
-def run_scheme(state, advance, config):
-    """Advance ``state`` to config.t_end with ``advance(state, dt_limit)``,
-    where dt_limit is config.dt_max or the time left, whichever is less.
+def run_scheme(state, step, run_constants, config):
+    """Advance ``state`` to config.t_end with ``step(state, dt_limit, context)``,
+    where dt_limit is config.dt_max or the time left, whichever is less, and
+    context is ``run_constants(state)`` of the first state, made at the first
+    step: no frame but this one holds the initial state, which the first
+    step's result then replaces.
 
     Returns (final state, diagnostics records).  Records are emitted at
     the start, every config.cadence accepted steps, and at t_end; the last
@@ -113,10 +116,12 @@ def run_scheme(state, advance, config):
     with np.errstate(over="ignore", invalid="ignore"):
         records = [diagnostics.snapshot(state, config.mat, dt_used=0.0)]
         steps = 0
+        context = None
         try:
             while state.t < config.t_end:
                 t_before = state.t
-                state = advance(state, min(config.dt_max, config.t_end - state.t))
+                context = context or run_constants(state)
+                state = step(state, min(config.dt_max, config.t_end - state.t), context)
                 if config.t_end - state.t <= 1e-12 * max(1.0, config.t_end):
                     state.t = config.t_end
                 steps += 1
@@ -131,12 +136,7 @@ def run_scheme(state, advance, config):
 
 def run_meso(config):
     """Run the sharp-interface scheme from the Riemann datum to config.t_end."""
-    context = None
-
-    def advance(state, dt_limit):
-        # made at the first step: no frame but run_scheme's holds the initial state
-        nonlocal context
-        context = context or _run_constants(state, config.mat)
-        return step_meso(state, config.mat, dt_limit, context=context)
-
-    return run_scheme(init_meso_riemann(config.cells), advance, config)
+    return run_scheme(init_meso_riemann(config.cells),
+                      lambda state, dt_limit, context: step_meso(state, config.mat, dt_limit,
+                                                                 context=context),
+                      lambda state: _run_constants(state, config.mat), config)

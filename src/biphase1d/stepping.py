@@ -106,10 +106,6 @@ class StaggeredGrid:
         """Cell centers, in the same unwrapped coordinates as node_x."""
         return self.node_x - 0.5 * self.cell_dx
 
-    def strain(self, u):
-        """Velocity gradient of each cell: its node-velocity jump over its width."""
-        return back_difference(u) / self.cell_dx
-
 
 @dataclass
 class StepOutcome:

@@ -9,6 +9,7 @@ in the factorization, and a non-finite right-hand side leaves a
 non-finite solution.  A step's
 dt_limit must be > 0 and finite; step_macro alone accepts an infinite
 one where its relaxation bound is finite, as that still caps the step.
+A NaN node velocity leaves the CFL dt NaN, which fails the step too.
 Cell masses that are empty or not 1-d are a ValueError too, not an
 IndexError from the neighbour shift."""
 
@@ -34,6 +35,7 @@ HALF = np.full(4, 0.5)
 FRACTION = "volume fraction must lie in"
 PRESSURE = "phase pressures must be >= 0"
 DT_LIMIT = "dt_limit must be > 0 and finite"
+DT = "dt must be > 0"
 
 
 def kernel_step(dt_limit):
@@ -48,6 +50,12 @@ def macro_step(dt_limit):
     return step_macro(init_macro_riemann(4), MAT, "cross", dt_limit)
 
 
+def nan_velocity(state):
+    """state with a NaN node velocity, which leaves the CFL dt NaN."""
+    state.u[1] = NAN
+    return state
+
+
 CASES = {
     "grid": (lambda: StaggeredGrid([0.1, NAN, 0.6]), "cell widths must all be > 0"),
     "cell_mass": (lambda: node_mass(WITH_NAN), "cell masses must be > 0"),
@@ -55,6 +63,14 @@ CASES = {
                   "node masses must be > 0"),
     "viscosity": (lambda: assemble_momentum(GRID, ONES, WITH_NAN, ONES, ONES, 1e-3),
                   "viscosities must be >= 0"),
+    "step_viscosity": (lambda: lagrangian_step(GRID, ONES, GRID.cell_dx, WITH_NAN, ONES, 1e-3),
+                       "viscosities must be >= 0"),
+    "step_velocity": (lambda: lagrangian_step(GRID, WITH_NAN, GRID.cell_dx, ONES, ONES, 1e-3),
+                      DT),
+    "step_meso_velocity": (lambda: step_meso(nan_velocity(init_meso_riemann(4)), MAT, 1e-4),
+                           DT),
+    "step_macro_velocity": (lambda: step_macro(nan_velocity(init_macro_riemann(4)), MAT,
+                                               "cross", 1e-4), DT),
     "power_pressure": (lambda: PowerLaw(1.0, 2.0).pressure(NAN), "density must be >= 0"),
     "power_potential": (lambda: PowerLaw(1.0, 2.0).potential(NAN), "density must be >= 0"),
     "color": (lambda: mixture_pressure(HALF_NAN, ONES, MAT), "color must lie in"),

@@ -218,12 +218,12 @@ def run_to_the_end_or_the_envelope(config):
         def step(state, dt_limit):
             return step_macro(state, config.mat, config.weighting, dt_limit=dt_limit)
 
-    def advance(state, dt_limit):
+    def advance(state, dt_limit, context):
         accepted.append(step(state, dt_limit))
         return accepted[-1]
 
     try:
-        state, _ = run_scheme(accepted[0], advance, config)
+        state, _ = run_scheme(accepted[0], advance, lambda state: None, config)
     except StepFailure as failure:
         assert str(failure) == ENVELOPE
         return accepted[-1]
@@ -353,14 +353,12 @@ def test_shift_helpers_equal_roll(a):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=tori(), data=st.data())
-def test_widths_and_strain_equal_their_roll_formulas(grid, data):
+@given(grid=tori())
+def test_widths_and_strain_equal_their_roll_formulas(grid):
     x = grid.node_x
     widths = x - np.roll(x, 1)
     widths[0] = x[0] - x[-1] + grid.length
     assert same_bits(grid.cell_dx, widths)
-    u = field(data.draw, grid.J)
-    assert same_bits(grid.strain(u), (u - np.roll(u, 1)) / grid.cell_dx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -525,7 +523,7 @@ def test_phase_density_guard_patch_in_both_regimes(J, scalar, data):
     dx, rho_old = field(data.draw, J, POSITIVE), field(data.draw, J, POSITIVE)
     if scalar and J:  # 0-d arrays: np.where still returns an ndarray
         fraction, mass, dx, rho_old = (a[0, ...] for a in (fraction, mass, dx, rho_old))
-    rho, guards = _phase_density(mass, fraction, dx, rho_old)
+    rho, guards = _phase_density(mass, fraction, dx, rho_old, fraction.min(initial=np.inf))
 
     ok = fraction > ALPHA_GUARD
     assert same_array(rho, np.where(ok, mass / (np.where(ok, fraction, 1.0) * dx), rho_old))

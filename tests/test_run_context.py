@@ -1,6 +1,6 @@
-"""The run constants that run_meso and run_macro make once per run.
+"""The run constants that run_scheme makes once per run of run_meso and run_macro.
 
-A runner makes them from its first state and passes them to every step as
+It makes them from the run's first state and passes them to every step as
 ``context``; a step called without one makes them itself.  Either way the
 step runs the same kernel, so a runner's result equals, bit for bit, the
 result of run_scheme driven by the public steps.  A runner holds no
@@ -46,12 +46,13 @@ def public_run(config, datum):
     """run_scheme driven by the public step, which makes no run constants."""
     if config.scheme == "meso":
         return run_scheme(datum(config.cells),
-                          lambda state, dt_limit: step_meso(state, config.mat, dt_limit),
-                          config)
+                          lambda state, dt_limit, context: step_meso(state, config.mat,
+                                                                     dt_limit),
+                          lambda state: None, config)
     return run_scheme(datum(config.cells),
-                      lambda state, dt_limit: step_macro(state, config.mat, config.weighting,
-                                                         dt_limit),
-                      config)
+                      lambda state, dt_limit, context: step_macro(state, config.mat,
+                                                                  config.weighting, dt_limit),
+                      lambda state: None, config)
 
 
 def outcome(run):
