@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import _homogenized, homogenized
+from .materials import _homogenized
 from .meso import riemann_density, run_scheme
 from .stepping import StaggeredGrid, _advance, _workspace, back_difference, node_mass
 # unused here: perfbench/probes.py binds these names until ROADMAP item 8 rebinds it
@@ -95,10 +95,9 @@ def _clamp(alpha_raw):
 
 
 def _run_constants(state):
-    """The cell masses, node masses and workspace of a run from state, checked,
-    then a slot for the last new alpha and its (min, max), for the next step."""
+    """The cell masses, node masses and workspace of a run from state, checked."""
     cell_mass = state.cell_mass
-    return [cell_mass, node_mass(cell_mass), _workspace(cell_mass.size, 4), (None, None)]
+    return cell_mass, node_mass(cell_mass), _workspace(cell_mass.size, 4)
 
 
 def step_macro(state, mat, weighting, dt_limit, *, context=None):
@@ -114,25 +113,20 @@ def step_macro(state, mat, weighting, dt_limit, *, context=None):
     finite); an attempt whose increment exceeds the bound is turned down
     and redone at half dt.
     The phase densities do not change within a step, so each pressure
-    law is evaluated once, and ``homogenized`` checks alpha and the phase
+    law is evaluated once, and ``_homogenized`` checks alpha and the phase
     pressures and forms the effective coefficients, the relaxation factor
-    k = alpha*(1-alpha)/D and dp = p_+ - p_- once; the public ``p_eff``,
-    ``mu_eff`` and ``relaxation_rhs`` are views of it.
+    k = alpha*(1-alpha)/D and dp = p_+ - p_- once, into the workspace.
     An attempt then costs the relaxation rate k*(dp - (mu_+ - mu_-)*u_x).
-    ``context`` is what run_scheme passes: the run constants of the run's first state.
+    ``context`` is what run_scheme passes: the run constants of the run's
+    first state; a call without it makes them, and fails, as that step does.
     """
+    cell_mass, m_node, work = context or _run_constants(state)
+    _, du, off, scratch, _, *rows, bound = work
     p_plus = mat.law_plus.pressure(state.rho_plus)
     p_minus = mat.law_minus.pressure(state.rho_minus)
-    public = context is None
-    if public:
-        p_cells, mu_cells, k, dp = homogenized(state.alpha, p_plus, p_minus, mat, weighting)
-        context = _run_constants(state)
-    cell_mass, m_node, work, (last_alpha, span) = context
-    _, du, off, scratch, _, *rows, bound = work
-    if not public:  # p_eff into the kernel's off, which it reads before writing
-        span = span if last_alpha is state.alpha else None
-        p_cells, mu_cells, k, dp = _homogenized(state.alpha, p_plus, p_minus, mat, weighting,
-                                                (off, *rows), span)
+    # p_eff into the kernel's off, which it reads before writing
+    p_cells, mu_cells, k, dp = _homogenized(state.alpha, p_plus, p_minus, mat, weighting,
+                                            (off, *rows))
     del p_plus, p_minus  # the attempts need only k and dp
     dmu = mat.mu_plus - mat.mu_minus
     np.minimum(state.alpha, np.subtract(1.0, state.alpha, out=bound), out=bound)
@@ -162,7 +156,6 @@ def step_macro(state, mat, weighting, dt_limit, *, context=None):
                                            mu_cells, p_cells, cap, work, accept=within_bound)
 
     alpha_new, clamps, (lo, hi) = _clamp(np.add(state.alpha, d_alpha, out=d_alpha))
-    context[3] = alpha_new, (lo, hi)
     dx_new = grid.cell_dx
     rho_p, guards_p = _phase_density(state.mass_plus, alpha_new, dx_new, state.rho_plus, lo)
     # 1 - x is monotone, so 1 - hi is the least phase-minus fraction

@@ -73,10 +73,11 @@ class MaterialPair:
             raise ValueError("viscosities must be > 0 and finite")
 
 
-def _check_fraction(w, name, span=None):
-    """w as a float array, and whether every entry lies inside (0, 1); w's (min, max) is span."""
+def _check_fraction(w, name):
+    """w as a float array, and whether every entry lies inside (0, 1)."""
     w = np.asarray(w, dtype=float)
-    lo, hi = span or (w.min(initial=np.inf), w.max(initial=-np.inf))
+    lo = np.minimum.reduce(w, None, initial=np.inf)
+    hi = np.maximum.reduce(w, None, initial=-np.inf)
     if not (lo >= 0 and hi <= 1):
         raise ValueError(f"{name} must lie in [0, 1]")
     return w, 0 < lo and hi < 1
@@ -133,10 +134,10 @@ def homogenized(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
     return _homogenized(alpha, p_plus, p_minus, mat, weighting)
 
 
-def _homogenized(alpha, p_plus, p_minus, mat, weighting, out=None, span=None):
-    """homogenized, into the four arrays ``out`` if given, with alpha's (min, max)
-    ``span``; 1 - alpha waits in k, D in mu_eff and a pressure term in dp."""
-    alpha, all_mixed = _check_fraction(alpha, "volume fraction", span)
+def _homogenized(alpha, p_plus, p_minus, mat, weighting, out=None):
+    """homogenized, into the four arrays ``out`` if given; 1 - alpha waits in k,
+    D in mu_eff and a pressure term in dp."""
+    alpha, all_mixed = _check_fraction(alpha, "volume fraction")
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
     p_p, p_m = _check_phase_pressures(p_plus, p_minus)

@@ -71,11 +71,9 @@ def init_meso_riemann(J, stride=1):
 
 def _run_constants(state, mat):
     """Node masses, viscosities, phase-+ mask and workspace of a run from state,
-    after step_meso's checks in its order: purity, density (a mass's sign), masses."""
+    checked in that order after the color's purity."""
     if (state.c * (1.0 - state.c) != 0.0).any():
         raise ValueError("color field must be exactly 0 or 1 in every cell")
-    if not np.asarray(state.cell_mass).min(initial=np.inf) >= 0:
-        raise ValueError("density must be >= 0")
     return (node_mass(state.cell_mass), mixture_viscosity(state.c, mat), state.c == 1.0,
             _workspace(state.c.size))
 

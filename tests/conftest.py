@@ -1,6 +1,46 @@
-"""Shared test oracles."""
+"""Shared test oracles and failure triggers."""
 
 import numpy as np
+import pytest
+
+from biphase1d import macro, meso, stepping
+
+# p_- = 1e308 rho^2 overflows to inf in every cell denser than 1
+PRESSURE_OVERFLOW = {"preset": "test2", "cells": 20, "K_minus": 1e308, "t_end": 0.001}
+
+# nearly pressureless equal laws, so the pressure barely moves a node
+# (and the macro relaxation rests), and steps that may take dt_max = 1
+INVERSION = ('{"cells": 16, "t_end": 1.0, "dt_max": 1.0, "cadence": 1, "coarse_K": 4, '
+             '"K_plus": 1e-9, "K_minus": 1e-9, "gamma_minus": 1, '
+             '"mu_plus": 0.001, "mu_minus": 0.001}')
+
+
+def closing_nodes(state):
+    """state at unit density, at rest but for nodes 2 and 3, which close in
+    on cell 3 at unit speed."""
+    J = state.grid.J
+    if isinstance(state, meso.MesoState):
+        state.cell_mass = state.grid.cell_dx.copy()
+    else:
+        state.rho_plus, state.rho_minus = np.ones(J), np.ones(J)
+        state.mass_plus = state.alpha * state.grid.cell_dx
+        state.mass_minus = (1.0 - state.alpha) * state.grid.cell_dx
+    state.u[2], state.u[3] = 1.0, -1.0
+    return state
+
+
+@pytest.fixture
+def inversion_trigger(monkeypatch):
+    """The INVERSION config, whose runs start from closing_nodes with a first
+    attempt of dt_max (CFL_THETA 1e9) and one halving: at dt 1 and 1/2 the
+    two nodes cross, so the first step fails on cell inversion at t = 0
+    whatever the pressure discretization."""
+    init_meso, init_macro = meso.init_meso_riemann, macro.init_macro_riemann
+    monkeypatch.setattr(meso, "init_meso_riemann", lambda J: closing_nodes(init_meso(J)))
+    monkeypatch.setattr(macro, "init_macro_riemann", lambda J: closing_nodes(init_macro(J)))
+    monkeypatch.setattr(stepping, "CFL_THETA", 1e9)
+    monkeypatch.setattr(stepping, "MAX_HALVINGS", 1)
+    return INVERSION
 
 
 def dense_matrix(diag, off):

@@ -4,14 +4,13 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import PRESSURE_OVERFLOW
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biphase1d import stepping
 from biphase1d.cli import (_ARRAY_MAX, _ARRAY_MIN, _BLOCK_ROWS, PRESETS, _write_table, main,
                            parse_config, run_experiment, run_sweep, write_diagnostics,
                            write_fields)
@@ -197,14 +196,11 @@ class TestRunExperiment:
                 continue
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
 
-    def test_solver_failure_leaves_marker(self, tmp_path):
-        # dt_max = 1 inverts cells on the first try and the single allowed
-        # halving is not enough
-        cfg = parse_config('{"cells": 16, "t_end": 1.0, "dt_max": 1.0, '
-                           '"scheme": "meso", "coarse_K": 4, '
-                           '"output_dir": "%s"}' % (tmp_path / "boom"))
-        with patch.object(stepping, "MAX_HALVINGS", 1):
-            assert run_experiment(cfg) == 1
+    def test_solver_failure_leaves_marker(self, tmp_path, inversion_trigger):
+        # the first step inverts cell 3, and the single allowed halving is not enough
+        cfg = parse_config(inversion_trigger, {"scheme": "meso",
+                                               "output_dir": str(tmp_path / "boom")})
+        assert run_experiment(cfg) == 1
         assert (tmp_path / "boom" / "FAILED").is_file()
         assert (tmp_path / "boom" / "partial_diagnostics.dat").is_file()
 
@@ -293,22 +289,33 @@ def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_python_dash_m_entry(tmp_path):
+@pytest.mark.parametrize("args, code", [
+    (["test1", "--cells", "16", "--scheme", "meso"], 0),
+    (["nonexistent"], 2),
+    ([json.dumps(PRESSURE_OVERFLOW)], 1),
+], ids=("success", "config_error", "solver_failure"))
+def test_python_dash_m_entry(args, code, tmp_path):
+    # the three ways a run ends, as a process sees them
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import biphase1d
 
     env = {**os.environ, "PYTHONPATH": str(Path(biphase1d.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-m", "biphase1d", "run", "test1",
-                           "--cells", "16", "--scheme", "meso",
-                           "--out", str(tmp_path / "m")],
+    out = tmp_path / "m"
+    proc = subprocess.run([sys.executable, "-m", "biphase1d", "run", *args, "--out", str(out)],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert (tmp_path / "m" / "meso_density.dat").is_file()
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert (out / "meso_density.dat").is_file()
+    elif code == 2:
+        assert proc.stderr.startswith("config error: ")
+        assert not out.exists()
+    else:
+        assert proc.stderr == "solver failure: cell pressures are not all finite\n"
+        assert (out / "FAILED").read_text() == "cell pressures are not all finite\n"
 
 
 @pytest.mark.parametrize("args", [

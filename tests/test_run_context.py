@@ -1,17 +1,18 @@
 """The run constants that run_scheme makes once per run of run_meso and run_macro.
 
 It makes them from the run's first state and passes them to every step as
-``context``; a step called without one makes them itself.  Either way the
-step runs the same kernel, so a runner's result equals, bit for bit, the
-result of run_scheme driven by the public steps.  A runner holds no
-reference to its initial state once the first step is done.  A state fed
-straight into a public step meets the checks, messages and order that the
-steps had before the constants were hoisted.
+``context``; a step called without one makes them itself, with the same
+function, and then runs the same code as a run's first step.  So a runner's
+result equals, bit for bit, the result of run_scheme driven by the public
+steps, and a state fed straight into a public step fails with the error,
+message and check order of a run's first step.  A runner holds no reference
+to its initial state once the first step is done.
 
 The context also holds the run's workspace, the scratch arrays every step
 overwrites.  No state array lives in it, so a state stays the value it was
-when its step returned, and a run-path step allocates only the arrays of the
-state it returns and its pressure-law evaluations.
+when its step returned, a run reads no workspace memory before it writes
+it, and a run-path step allocates only the arrays of the state it returns
+and its pressure-law evaluations.
 """
 
 import dataclasses
@@ -220,7 +221,7 @@ def test_a_run_path_step_allocates_only_what_outlives_it(scheme, budget):
         context = macro._run_constants(state)
         step = lambda s: step_macro(s, config.mat, config.weighting,  # noqa: E731
                                     config.dt_max, context=context)
-    for _ in range(2):  # past the first step, and with alpha's range carried
+    for _ in range(2):  # past the first step, in a workspace a step has written
         state = step(state)
     assert peak_new_arrays(step, state, J) == budget
 
@@ -255,8 +256,9 @@ MESO_FAULTS = (
     ("impure color", lambda c: put(c["state"].c, 1, 0.5), ValueError, PURITY),
     ("NaN color", lambda c: put(c["state"].c, 2, np.nan), ValueError, PURITY),
     ("color 2", lambda c: put(c["state"].c, 3, 2.0), ValueError, PURITY),
-    ("negative cell mass", lambda c: put(c["state"].cell_mass, 1, -1e-3), ValueError, DENSITY),
-    ("NaN cell mass", lambda c: put(c["state"].cell_mass, 2, np.nan), ValueError, DENSITY),
+    ("negative cell mass", lambda c: put(c["state"].cell_mass, 1, -1e-3), ValueError,
+     CELL_MASS),
+    ("NaN cell mass", lambda c: put(c["state"].cell_mass, 2, np.nan), ValueError, CELL_MASS),
     ("zero cell mass", lambda c: put(c["state"].cell_mass, 3, 0.0), ValueError, CELL_MASS),
     ("-0.0 cell mass", lambda c: put(c["state"].cell_mass, 4, -0.0), ValueError, CELL_MASS),
     # p_-(8e200) overflows in cell 5, a minus cell
@@ -266,6 +268,11 @@ MESO_FAULTS = (
 )
 
 MACRO_FAULTS = (
+    ("NaN phase mass", lambda c: put(c["state"].mass_plus, 1, np.nan), ValueError, CELL_MASS),
+    ("zero cell mass", lambda c: (put(c["state"].mass_plus, 2, 0.0),
+                                  put(c["state"].mass_minus, 2, 0.0)), ValueError, CELL_MASS),
+    ("negative cell mass", lambda c: put(c["state"].mass_minus, 3, -1.0), ValueError,
+     CELL_MASS),
     ("NaN rho_+", lambda c: put(c["state"].rho_plus, 1, np.nan), ValueError, DENSITY),
     ("negative rho_+", lambda c: put(c["state"].rho_plus, 2, -1.0), ValueError, DENSITY),
     ("NaN rho_-", lambda c: put(c["state"].rho_minus, 3, np.nan), ValueError, DENSITY),
@@ -277,19 +284,16 @@ MACRO_FAULTS = (
     ("negative phase pressure",
      lambda c: c.update(mat=dataclasses.replace(c["mat"], law_plus=NegativeLaw())),
      ValueError, PRESSURE),
-    ("NaN phase mass", lambda c: put(c["state"].mass_plus, 1, np.nan), ValueError, CELL_MASS),
-    ("zero cell mass", lambda c: (put(c["state"].mass_plus, 2, 0.0),
-                                  put(c["state"].mass_minus, 2, 0.0)), ValueError, CELL_MASS),
-    ("negative cell mass", lambda c: put(c["state"].mass_minus, 3, -1.0), ValueError,
-     CELL_MASS),
     ("infinite pressure", lambda c: put(c["state"].rho_minus, 5, 1e200), StepFailure,
      NON_FINITE),
     ("NaN dt_limit", lambda c: c.update(dt_limit=np.nan), ValueError, DT_LIMIT),
 )
 
 
-def public_step(scheme, faults):
-    """The public step of scheme on a J=8 Riemann datum with faults applied."""
+def faulty_step(scheme, faults, run_path):
+    """The step of scheme on a J=8 Riemann datum with faults applied: the public
+    step, or with run_path the step run_scheme makes first, after the run
+    constants of that state."""
     if scheme == "meso":
         call = {"state": init_meso_riemann(8), "mat": MAT, "dt_limit": 1e-4}
     else:
@@ -299,8 +303,11 @@ def public_step(scheme, faults):
         fault(call)
     with np.errstate(over="ignore", invalid="ignore"):  # as run_scheme steps
         if scheme == "meso":
-            return step_meso(call["state"], call["mat"], call["dt_limit"])
-        return step_macro(call["state"], call["mat"], call["weighting"], call["dt_limit"])
+            context = meso._run_constants(call["state"], call["mat"]) if run_path else None
+            return step_meso(call["state"], call["mat"], call["dt_limit"], context=context)
+        context = macro._run_constants(call["state"]) if run_path else None
+        return step_macro(call["state"], call["mat"], call["weighting"], call["dt_limit"],
+                          context=context)
 
 
 def ordered_pairs(faults):
@@ -316,7 +323,7 @@ def ordered_pairs(faults):
 def test_public_step_rejects_each_fault(scheme, fault):
     _, apply, kind, message = fault
     with pytest.raises(kind) as failure:
-        public_step(scheme, [apply])
+        faulty_step(scheme, [apply], run_path=False)
     assert type(failure.value) is kind and str(failure.value) == message
 
 
@@ -327,7 +334,7 @@ def test_public_step_rejects_each_fault(scheme, fault):
 def test_public_step_reports_the_first_of_two_faults(scheme, first, second):
     for faults in ([first[1], second[1]], [second[1], first[1]]):
         with pytest.raises(first[2]) as failure:
-            public_step(scheme, faults)
+            faulty_step(scheme, faults, run_path=False)
         assert type(failure.value) is first[2] and str(failure.value) == first[3]
 
 
@@ -340,3 +347,72 @@ def test_a_negative_phase_mass_under_a_positive_cell_mass_fails_the_next_step():
     assert state.rho_minus[3] < 0
     with pytest.raises(ValueError, match=DENSITY):
         step_macro(state, MAT, "cross", 1e-4)
+
+
+def failure_of_step(scheme, faults, run_path):
+    """The type and message of the failure of faulty_step, or None if it passes."""
+    try:
+        faulty_step(scheme, faults, run_path)
+    except (SolverError, ValueError) as failure:
+        return type(failure), str(failure)
+    return None
+
+
+@pytest.mark.parametrize("scheme, faults", [
+    pytest.param(scheme, [f[1] for f in chosen],
+                 id=f"{scheme}: {' + '.join(f[0] for f in chosen)}")
+    for scheme, faults in (("meso", MESO_FAULTS), ("macro", MACRO_FAULTS))
+    for chosen in [(f,) for f in faults] + [(a, b) for a in faults for b in faults if a is not b]])
+def test_a_public_step_fails_as_a_run_s_first_step(scheme, faults):
+    # every single fault and every ordered pair: one check order for both calls
+    want = failure_of_step(scheme, faults, run_path=True)
+    assert want is not None
+    assert failure_of_step(scheme, faults, run_path=False) == want
+
+
+def poisoned(fill):
+    """stepping._workspace with every entry set to fill, not left as it came."""
+    def workspace(*args):
+        rows = stepping._workspace(*args)
+        for row in rows:
+            row.fill(fill)
+        return rows
+    return workspace
+
+
+def run_outcome(runner, config):
+    """The final state and records of runner(config), or the type and message
+    of its failure."""
+    try:
+        state, records = runner(config)
+    except (SolverError, ValueError) as failure:
+        return (type(failure), str(failure)), None
+    return state, np.array([dataclasses.astuple(r) for r in records])
+
+
+@example(scheme="macro", half_J=24, t_end=0.01, weighting="paper", stiff=True, pure=True,
+         max_halvings=1, fill=np.nan)
+@example(scheme="meso", half_J=24, t_end=0.01, weighting="cross", stiff=True, pure=False,
+         max_halvings=0, fill=1e300)
+@settings(max_examples=25, deadline=None)
+@given(scheme=st.sampled_from(("meso", "macro")), half_J=st.integers(2, 24),
+       t_end=st.floats(1e-4, 0.01), weighting=st.sampled_from(("cross", "paper")),
+       stiff=st.booleans(), pure=st.booleans(), max_halvings=st.integers(0, 3),
+       fill=st.sampled_from((np.nan, 1e300, -7.0)))
+def test_a_run_reads_no_workspace_memory_it_has_not_written(scheme, half_J, t_end, weighting,
+                                                            stiff, pure, max_halvings, fill):
+    config = parse_config("test2", {"scheme": scheme, "cells": 2 * half_J, "t_end": t_end,
+                                    "weighting": weighting, "cadence": 3,
+                                    **(STIFF if stiff else {})})
+    runner = run_meso if scheme == "meso" else run_macro
+    with (patch.object(stepping, "MAX_HALVINGS", max_halvings),
+          patch.object(macro, "init_macro_riemann",
+                       pure_cell_datum if pure else init_macro_riemann),
+          np.errstate(over="ignore", invalid="ignore")):
+        want, want_records = run_outcome(runner, config)
+        with (patch.object(meso, "_workspace", poisoned(fill)),
+              patch.object(macro, "_workspace", poisoned(fill))):
+            got, got_records = run_outcome(runner, config)
+    assert_same_state(got, want)
+    if want_records is not None:
+        assert np.array_equal(got_records, want_records, equal_nan=True)

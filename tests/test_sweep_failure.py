@@ -5,12 +5,12 @@ a failed run's diagnostics hold the time of the step that failed, and a
 pressure that overflows fails a run of any scheme the same way."""
 
 import json
-from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import PRESSURE_OVERFLOW
 
-from biphase1d import macro, stepping
+from biphase1d import macro
 from biphase1d.cli import main, parse_config
 from biphase1d.errors import StepFailure
 from biphase1d.macro import MacroState, run_macro
@@ -100,20 +100,10 @@ def test_envelope_failure_carries_the_time(scheme, monkeypatch):
 
 
 @pytest.mark.parametrize("run", [run_meso, run_macro], ids=["meso", "macro"])
-def test_inversion_failure_carries_the_time(run):
-    # from rest the first dt is dt_max = 1: it and its one halving both
-    # invert cells (equal phase laws leave the macro relaxation at rest)
-    config = parse_config('{"cells": 16, "t_end": 1.0, "dt_max": 1.0, "cadence": 1, '
-                          '"coarse_K": 4, "gamma_minus": 1, '
-                          '"mu_plus": 0.001, "mu_minus": 0.001}')
-    with patch.object(stepping, "MAX_HALVINGS", 1):
-        message, diag = failure_of(run, config)
+def test_inversion_failure_carries_the_time(run, inversion_trigger):
+    message, diag = failure_of(run, parse_config(inversion_trigger))
     assert message == "cell inversion persisted after 1 dt halvings"
     assert diag["t"] == diag["records"][-1].t == 0.0
-
-
-# p_- = 1e308 rho^2 overflows to inf in every cell denser than 1
-PRESSURE_OVERFLOW = {"preset": "test2", "cells": 20, "K_minus": 1e308, "t_end": 0.001}
 
 
 @pytest.mark.parametrize("scheme", ["meso", "macro", "both"])
