@@ -131,22 +131,30 @@ def homogenized(alpha, p_plus, p_minus, mat, weighting=WEIGHTING_CROSS):
     pressures, in that order; ``p_eff``, ``mu_eff`` and ``relaxation_rhs``
     document the formulas.
     """
-    return _homogenized(alpha, p_plus, p_minus, mat, weighting)
+    alpha, all_mixed, p_p, p_m = _homogenized_inputs(alpha, p_plus, p_minus, weighting)
+    out = tuple(np.empty(np.broadcast_shapes(alpha.shape, p_p.shape, p_m.shape))
+                for _ in range(4))
+    _homogenized_cells(mat, weighting == WEIGHTING_CROSS, all_mixed, alpha, p_p, p_m, *out)
+    return out
 
 
-def _homogenized(alpha, p_plus, p_minus, mat, weighting, out=None):
-    """homogenized, into the four arrays ``out`` if given; 1 - alpha waits in k,
-    D in mu_eff and a pressure term in dp."""
+def _homogenized_inputs(alpha, p_plus, p_minus, weighting):
+    """homogenized's checks, in its order: alpha, weighting, phase pressures;
+    returns the float arrays and whether every alpha lies inside (0, 1)."""
     alpha, all_mixed = _check_fraction(alpha, "volume fraction")
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
-    p_p, p_m = _check_phase_pressures(p_plus, p_minus)
-    p_cells, mu_cells, k, dp = out or (
-        np.empty(np.broadcast_shapes(alpha.shape, p_p.shape, p_m.shape)) for _ in range(4))
+    return (alpha, all_mixed, *_check_phase_pressures(p_plus, p_minus))
+
+
+def _homogenized_cells(mat, cross, all_mixed, alpha, p_p, p_m, p_cells, mu_cells, k, dp):
+    """homogenized's arithmetic on checked inputs, cell by cell, into its four
+    outputs, with ``cross`` for the default weighting; 1 - alpha waits in k,
+    D in mu_eff and a pressure term in dp."""
     one_minus = np.subtract(1.0, alpha, out=k)
     denom = np.multiply(alpha, mat.mu_minus, out=mu_cells)
     denom += np.multiply(one_minus, mat.mu_plus, out=p_cells)  # D, > 0 on [0, 1]
-    cross = weighting == WEIGHTING_CROSS  # each phase pressure with the other mu
+    # cross: each phase pressure with the other phase's mu
     np.multiply(alpha, p_p, out=p_cells)
     p_cells *= mat.mu_minus if cross else mat.mu_plus
     np.multiply(one_minus, p_m, out=dp)
@@ -166,7 +174,6 @@ def _homogenized(alpha, p_plus, p_minus, mat, weighting, out=None):
             np.copyto(a, plus, where=one)
             np.copyto(a, minus, where=zero)
     np.subtract(p_p, p_m, out=dp)
-    return p_cells, mu_cells, k, dp
 
 
 def mu_eff(alpha, mat):

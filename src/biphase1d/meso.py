@@ -12,7 +12,7 @@ from . import diagnostics
 from .errors import SolverError
 # mixture_pressure and lagrangian_step are unused here: perfbench/probes.py binds them
 from .materials import mixture_pressure, mixture_viscosity  # noqa: F401
-from .stepping import StaggeredGrid, _advance, _workspace, back_difference, node_mass
+from .stepping import StaggeredGrid, _advance, _split_point, _workspace, node_mass
 from .stepping import lagrangian_step  # noqa: F401
 
 
@@ -70,26 +70,29 @@ def init_meso_riemann(J, stride=1):
 
 
 def _run_constants(state, mat):
-    """Node masses, viscosities, phase-+ mask and workspace of a run from state,
-    checked in that order after the color's purity."""
+    """Node masses, viscosities, phase-+ mask, workspace and split point of a
+    run from state, checked in that order after the color's purity."""
     if (state.c * (1.0 - state.c) != 0.0).any():
         raise ValueError("color field must be exactly 0 or 1 in every cell")
+    n = state.c.size
     return (node_mass(state.cell_mass), mixture_viscosity(state.c, mat), state.c == 1.0,
-            _workspace(state.c.size))
+            _workspace(n), _split_point(n))
 
 
 def step_meso(state, mat, dt_limit, *, context=None):
     """Advance one step: mixture coefficients per cell, then the shared
     Lagrangian kernel, with dt capped by dt_limit.  The color field and
     the cell masses are carried over untouched.  ``context`` is what
-    run_scheme passes: the run constants of the run's first state."""
-    m_node, mu_cells, plus, work = context or _run_constants(state, mat)
+    run_scheme passes: the run constants of the run's first state, the split
+    point of its cell-wise phases included.  The cell pressures are one
+    np.where in the caller: written into the halves of an array, they cost
+    as much as the whole np.where saves."""
+    m_node, mu_cells, plus, work, split = context or _run_constants(state, mat)
     rho = np.divide(state.cell_mass, state.grid.cell_dx, out=work[3])
     # a pure cell reads only its own phase's law, as in mixture_pressure
     p_cells = np.where(plus, mat.law_plus.pressure(rho), mat.law_minus.pressure(rho))
-    du_old = back_difference(state.u, out=work[1])
-    dt, grid, u, dissipation, _ = _advance(state.grid, state.u, du_old, state.cell_mass, m_node,
-                                           mu_cells, p_cells, dt_limit, work)
+    dt, grid, u, dissipation, _ = _advance(state.grid, state.u, None, state.cell_mass, m_node,
+                                           mu_cells, p_cells, dt_limit, work, split, None, ())
     return MesoState(grid=grid, u=u, cell_mass=state.cell_mass, c=state.c,
                      t=state.t + dt, dissipated=state.dissipated + dissipation)
 

@@ -13,6 +13,10 @@ fails the comparison, and its ``initial`` lets an empty array pass.  A step
 calls the ufunc's reduce, without the ndarray method's costly Python wrapper.
 """
 
+import contextvars
+import operator
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +60,13 @@ def left_neighbour(a):
 
 def back_difference(a, out=None):
     """Entry j holds a[j] - a[j - 1 mod n]; into ``out`` if given."""
-    out = np.empty_like(a) if out is None else out
+    return _back_difference(a, a[-1], np.empty_like(a) if out is None else out)
+
+
+def _back_difference(a, left, out):
+    """back_difference of a segment, with ``left`` the entry before its first."""
     np.subtract(a[1:], a[:-1], out=out[1:])
-    out[0] = a[0] - a[-1]
+    out[0] = a[0] - left
     return out
 
 
@@ -149,21 +157,26 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
         raise ValueError("node masses must be > 0")
     if not mu.min(initial=np.inf) >= 0:
         raise ValueError("viscosities must be >= 0")
-    return _assemble(grid.cell_dx, np.asarray(u_old, dtype=float), mu, right_neighbour(p) - p,
-                     node_mass, dt, *(np.empty(grid.J) for _ in range(3)))
+    system = tuple(np.empty(grid.J) for _ in range(3))
+    mu = np.broadcast_to(mu, (grid.J,))
+    _assemble(-1, 0, dt, mu, grid.cell_dx, grid.cell_dx, np.asarray(u_old, dtype=float), mu,
+              right_neighbour(p) - p, node_mass, *system)
+    return system
 
 
-def _assemble(cell_dx, u_old, mu, dp, m_node, dt, diag, off, rhs):
-    """assemble_momentum's system into diag, off and rhs; dp = right_neighbour(p) - p."""
+def _assemble(left, right, dt, mu_all, dx_all, cell_dx, u_old, mu, dp, m_node, diag, off, rhs):
+    """assemble_momentum's rows of a segment into diag, off and rhs, with
+    dp = right_neighbour(p) - p; the segment's last off entry reads the
+    next cell, ``right`` in mu_all and dx_all, from those inputs."""
     np.multiply(m_node, u_old, out=rhs)
     rhs -= np.multiply(dp, dt, out=off)
     w_left = np.multiply(mu, dt, out=diag)
     w_left /= cell_dx
-    w_right = right_neighbour(w_left, out=off)
+    # off = -w_right; the next cell's w_left with the same two roundings
+    np.negative(w_left[1:], out=off[:-1])
+    off[-1] = -(mu_all[right] * dt / dx_all[right])
     np.add(m_node, w_left, out=diag)
-    diag += w_right
-    np.negative(w_right, out=off)
-    return diag, off, rhs
+    diag -= off  # + w_right: negation is exact
 
 
 def choose_dt(grid, u_old):
@@ -172,11 +185,12 @@ def choose_dt(grid, u_old):
     The width of cell j changes at rate |u_j - u_{j-1}|, so the candidate
     keeps every width change below CFL_THETA times the smallest width.
     """
-    return _cfl_dt(grid.cell_dx, back_difference(np.asarray(u_old, dtype=float)))
+    du = back_difference(np.asarray(u_old, dtype=float))
+    return _cfl_dt(np.minimum.reduce(grid.cell_dx), np.maximum.reduce(np.abs(du, out=du)))
 
 
-def _cfl_dt(cell_dx, du):  # overwrites du
-    return CFL_THETA * np.minimum.reduce(cell_dx) / (np.abs(du, out=du).max() + _CFL_EPS)
+def _cfl_dt(min_dx, max_du):
+    return CFL_THETA * min_dx / (max_du + _CFL_EPS)
 
 
 def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=None):
@@ -201,9 +215,10 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=
         raise ValueError("viscosities must be >= 0")
     attempt_ok = None if accept is None else (
         lambda u_new, du_new, x, dx, dt: accept(u_new, StaggeredGrid._of(x, dx), dt))
-    return StepOutcome(*_advance(grid, u_old, back_difference(u_old), cell_mass, m_node,
-                                 mu_cells, p_cells, dt_limit, _workspace(u_old.size),
-                                 attempt_ok))
+    n = u_old.size
+    return StepOutcome(*_advance(grid, u_old, None, cell_mass, m_node,
+                                 np.broadcast_to(mu_cells, (n,)), p_cells, dt_limit,
+                                 _workspace(n), None, attempt_ok, ()))
 
 
 def _workspace(n, extra=0):
@@ -213,39 +228,209 @@ def _workspace(n, extra=0):
     return (*block[:4], block[4:6].T, *block[6:])
 
 
-def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit, work,
-             accept=None):
-    """lagrangian_step on checked float arrays, du_old = back_difference(u_old)
-    and m_node = node_mass(cell_mass), making only the checks whose outcome can
-    change in a run; ``accept(u_new, du_new, new_x, new_dx, dt)`` may use
-    diag.  Every temporary goes into ``work``; du_old and p_cells may be its
-    du, off or diag, as both are read before those are written."""
-    if not np.isfinite(p_cells).all():
+# The two halves of a run's cell-wise phases.  From _SPLIT_MIN cells on, on
+# a host with two or more CPUs, each phase of a run's step runs on cells
+# [0, n//2) in the calling thread and on [n//2, n) in one helper thread at
+# once; numpy releases the GIL inside its loops, so the halves overlap.  A
+# phase reads the neighbour of its half's edge from that phase's inputs,
+# never from the other half's outputs, with the same IEEE operations as the
+# whole-array pass, and returns partial minima, maxima, flags and counts
+# that the caller combines exactly; so the results are the same bits.  The
+# pressure laws, every check that raises, the solve (f2py holds the GIL in
+# dptsv) and the dissipation's one pairwise sum stay in the caller.
+# The crossover, as split/whole time of a run-path test2 step on a 2-vCPU
+# Xeon VM (best of 9 interleaved loops of 20 steps): macro 0.99, 0.91, 0.90,
+# 0.79 and 0.72 at J = 4e4, 5e4, 65536, 1e5 and 2e5; meso 1.07, 1.02, 0.97,
+# 0.92 and 0.84.  A pass over a half's arrays slows when the other half
+# streams at once, and each phase costs two thread wake-ups, about 20 us.
+_SPLIT_MIN = 65_536
+
+
+def _two_cpus():
+    """Whether this process may run on two or more CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _split_point(n):
+    """Where a run of n cells splits its cell-wise phases, or None to run
+    each phase on whole arrays in the caller, with no slicing."""
+    return n // 2 if n >= _SPLIT_MIN and _two_cpus() else None
+
+
+def _cells(split, body, shared, combine):
+    """A phase: ``body`` itself when split is None, else a function with
+    body's parameters that runs body on each half at once and combines the
+    partial results with ``combine``.  body(left, right, *args) works on one
+    segment of the run's cells: ``left`` and ``right`` index the cells
+    beside its ends in arrays of the run's length, wrapping periodically, so
+    a caller passes -1 and 0; the first ``shared`` args are passed whole to
+    each half, and the rest are arrays of the segment."""
+    if split is None:
+        return body
+
+    def halves(_, __, *args):
+        whole, parts = args[:shared], args[shared:]
+        n = parts[0].shape[0]
+        first = body, (-1, split - n, *whole, *(a[:split] for a in parts))
+        second = body, (split - 1, 0, *whole, *(a[split:] for a in parts))
+        helper = _helper()
+        if helper.idle.acquire(blocking=False):
+            mine, theirs = helper.pair(first, second)
+        else:  # the helper is busy with another thread's run
+            mine, theirs = first[0](*first[1]), second[0](*second[1])
+        return combine and tuple(f(a, b) for f, a, b in zip(combine, mine, theirs))
+    return halves
+
+
+class _Helper:
+    """One daemon thread that runs the second half of a phase while the caller
+    runs the first.  ``idle`` is held by the caller whose phase it runs."""
+
+    def __init__(self):
+        self.idle = threading.Lock()
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._outcome = None
+        threading.Thread(target=self._serve, name="biphase1d-half", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            context, (body, args) = self._job
+            self._job = None
+            try:
+                self._outcome = False, context.run(body, *args)
+            except BaseException as failure:
+                self._outcome = True, failure
+            del context, body, args  # hold no array between phases
+            self._done.release()
+
+    def pair(self, first, second):
+        """(first's result, second's result), second run in the thread in a
+        copy of the caller's context (numpy's errstate lives there); an
+        exception of either is raised here, after both have finished."""
+        self._job = contextvars.copy_context(), second
+        self._go.release()
+        try:
+            mine = first[0](*first[1])
+        finally:
+            try:
+                self._done.acquire()
+            except BaseException:  # interrupted while the thread may still run
+                _forget_helper()
+                raise
+            failed, theirs = self._outcome
+            self._outcome = None
+            self.idle.release()
+        if failed:
+            raise theirs
+        return mine, theirs
+
+
+_HELPER = []
+
+
+def _helper():
+    """The process's helper, started at its first use."""
+    if not _HELPER:
+        _HELPER.append(_Helper())
+    return _HELPER[0]
+
+
+def _forget_helper():
+    """Drop the helper: after a fork it has no thread, and after an
+    interrupted phase its thread may still be running; the next use starts
+    another."""
+    _HELPER.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _pressure_difference(left, right, p_all, u_all, fresh, p_cells, dp, cell_dx, u_old, du):
+    """dp = right_neighbour(p) - p of a segment, its least width and its
+    largest |du|, which overwrites du; with ``fresh``, du is first made as
+    the back difference of u_old."""
+    np.subtract(p_cells[1:], p_cells[:-1], out=dp[:-1])
+    dp[-1] = p_all[right] - p_cells[-1]
+    if fresh:
+        _back_difference(u_old, u_all[left], du)
+    return np.minimum.reduce(cell_dx), np.maximum.reduce(np.abs(du, out=du))
+
+
+def _move(left, right, dt, length, u_all, x_all, accept, u_new, node_x, new_x, new_dx, du,
+          cell_dx, cell_mass, mu_cells, rho, *accept_cells):
+    """Mesh motion of a segment: its new nodes and widths and their least
+    width; where that is > 0, the new velocities' back difference into du and
+    ``accept(u_new, du, new_x, new_dx, dt, *accept_cells)``; where that holds,
+    the densities into rho, their least and largest, and the dissipation terms
+    mu (du/dx)^2 dx into du.  The width at the segment's start reads the
+    node before it, ``left``, from u_all and x_all.  So one half may test and
+    finish an attempt that the other half's widths or test turn down; the
+    next attempt rewrites every row that work wrote."""
+    np.multiply(u_new, dt, out=new_x)
+    new_x += node_x
+    _back_difference(new_x, u_all[left] * dt + x_all[left], new_dx)
+    if left == -1:  # the torus seam: the widths still add up to the length
+        new_dx[0] += length
+    least = np.minimum.reduce(new_dx)
+    if not least > 0:  # the mesh inverted
+        return least, False, np.inf, -np.inf
+    _back_difference(u_new, u_all[left], du)
+    if not (accept is None or accept(u_new, du, new_x, new_dx, dt, *accept_cells)):
+        return least, False, np.inf, -np.inf
+    np.divide(cell_mass, new_dx, out=rho)
+    np.square(np.divide(du, cell_dx, out=du), out=du)
+    du *= mu_cells
+    du *= cell_dx
+    return least, True, np.minimum.reduce(rho), np.maximum.reduce(rho)
+
+
+def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit, work, split,
+             accept, accept_cells):
+    """lagrangian_step on checked float arrays of the run's length, with
+    du_old = back_difference(u_old), or None to form it in work's du, and
+    m_node = node_mass(cell_mass), making only the checks whose outcome can
+    change in a run, with its cell-wise phases split at ``split`` (see
+    _cells).  ``accept(u_new, du_new, new_x, new_dx, dt, *accept_cells)``,
+    or None, may use diag; it sees the matching segment of every array,
+    accept_cells included, and returns a bool.  Every temporary goes into
+    ``work``; du_old and p_cells may be its du, off or diag, as both are
+    read before those are written."""
+    if not np.logical_and.reduce(np.isfinite(p_cells)):
         raise StepFailure("cell pressures are not all finite")
     if not 0 < dt_limit < np.inf:
         raise ValueError("dt_limit must be > 0 and finite")
 
     dp, du, off, diag, b = work[:5]
-    # dt does not enter dp, so the attempts share it
-    np.subtract(right_neighbour(p_cells, out=dp), p_cells, out=dp)
     dx = grid.cell_dx
-    dt = min(_cfl_dt(dx, du_old), dt_limit)
+    # dt does not enter dp, so the attempts share it
+    min_dx, max_du = _cells(split, _pressure_difference, 3, (np.minimum, np.maximum))(
+        -1, 0, p_cells, u_old, du_old is None,
+        p_cells, dp, dx, u_old, du if du_old is None else du_old)
+    dt = min(_cfl_dt(min_dx, max_du), dt_limit)
     if not dt > 0:  # a non-finite u_old
         raise ValueError("dt must be > 0")
 
+    n = dx.size
+    assemble = _cells(split, _assemble, 3, ())
+    move = _cells(split, _move, 5, (np.minimum, operator.and_, np.minimum, np.maximum))
     for halvings in range(MAX_HALVINGS + 1):
-        _assemble(dx, u_old, mu_cells, dp, m_node, dt, diag, off, b[:, 0])
+        assemble(-1, 0, dt, mu_cells, dx, dx, u_old, mu_cells, dp, m_node, diag, off, b[:, 0])
         u_new = _solve(diag, off, b)
-        # mesh motion: the widths still add up to the unit length
-        new_x = np.multiply(u_new, dt)
-        new_x += grid.node_x
-        new_dx = _widths(new_x, grid.length)
-        if np.minimum.reduce(new_dx) > 0:  # else the mesh inverted
-            du_new = back_difference(u_new, out=du)
-            if accept is None or accept(u_new, du_new, new_x, new_dx, dt):
-                break
+        new_x, new_dx = np.empty(n), np.empty(n)
+        # the densities into off, the dissipation terms into du
+        least, ok, rho_min, rho_max = move(
+            -1, 0, dt, grid.length, u_new, grid.node_x, accept,
+            u_new, grid.node_x, new_x, new_dx, du, dx, cell_mass, mu_cells, off, *accept_cells)
+        if ok:
+            break
         if halvings == MAX_HALVINGS:
-            cause = "step rejection" if new_dx.min() > 0 else "cell inversion"
+            cause = "step rejection" if least > 0 else "cell inversion"
             raise StepFailure(
                 f"{cause} persisted after {MAX_HALVINGS} dt halvings",
                 diagnostics={"dt": dt, "min_dx": float(dx.min()),
@@ -253,15 +438,9 @@ def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit
             )
         dt *= 0.5
 
-    rho = np.divide(cell_mass, new_dx, out=off)
-    if not (np.minimum.reduce(rho, initial=np.inf) >= RHO_SANE_MIN
-            and np.maximum.reduce(rho, initial=-np.inf) <= RHO_SANE_MAX):
+    if not (rho_min >= RHO_SANE_MIN and rho_max <= RHO_SANE_MAX):
         raise StepFailure(f"density left the sane range [{RHO_SANE_MIN}, {RHO_SANE_MAX}]",
                           diagnostics={"dt": dt})
-
-    # mu (du/dx)^2 dx, in du_new's row
-    np.square(np.divide(du_new, dx, out=du_new), out=du_new)
-    du_new *= mu_cells
-    du_new *= dx
-    dissipation = dt * float(np.add.reduce(du_new))
+    # one pairwise sum over the whole row: its order sets the bits
+    dissipation = dt * float(np.add.reduce(du))
     return dt, StaggeredGrid._of(new_x, new_dx), u_new, dissipation, halvings

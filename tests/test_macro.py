@@ -182,8 +182,8 @@ class TestPressureEvaluations:
 
     def test_one_coefficient_evaluation_when_the_increment_check_halves_dt(self, monkeypatch):
         calls = []
-        homogenized = macro._homogenized
-        monkeypatch.setattr(macro, "_homogenized",
+        homogenized = macro._homogenized_cells
+        monkeypatch.setattr(macro, "_homogenized_cells",
                             lambda *args: calls.append(args) or homogenized(*args))
         *_, refusals = self.counted_step(monkeypatch, self.STIFF, 1.0)
         assert refusals >= 1

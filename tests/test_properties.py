@@ -523,7 +523,8 @@ def test_phase_density_guard_patch_in_both_regimes(J, scalar, data):
     dx, rho_old = field(data.draw, J, POSITIVE), field(data.draw, J, POSITIVE)
     if scalar and J:  # 0-d arrays: np.where still returns an ndarray
         fraction, mass, dx, rho_old = (a[0, ...] for a in (fraction, mass, dx, rho_old))
-    rho, guards = _phase_density(mass, fraction, dx, rho_old, fraction.min(initial=np.inf))
+    rho, guards = _phase_density(mass, fraction, dx, rho_old, fraction.min(initial=np.inf),
+                                 np.empty(np.shape(fraction)))
 
     ok = fraction > ALPHA_GUARD
     assert same_array(rho, np.where(ok, mass / (np.where(ok, fraction, 1.0) * dx), rho_old))

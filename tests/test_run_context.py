@@ -13,11 +13,21 @@ overwrites.  No state array lives in it, so a state stays the value it was
 when its step returned, a run reads no workspace memory before it writes
 it, and a run-path step allocates only the arrays of the state it returns
 and its pressure-law evaluations.
+
+The last run constant is the split point: from stepping._SPLIT_MIN cells on,
+on two or more CPUs, a run steps each cell-wise phase on two halves at once.
+``split_runs`` forces that at any size, and a split run must return the same
+bits, fail the same way and leave no thread or array behind.
 """
 
 import dataclasses
+import json
+import os
+import threading
+import time
 import tracemalloc
 import weakref
+from contextlib import nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -26,7 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphase1d import macro, meso, stepping
-from biphase1d.cli import parse_config
+from biphase1d.cli import main, parse_config
 from biphase1d.errors import SolverError, StepFailure
 from biphase1d.macro import MacroState, init_macro_riemann, run_macro, step_macro
 from biphase1d.materials import MaterialPair, PowerLaw
@@ -41,6 +51,16 @@ def pure_cell_datum(J):
     rho = riemann_density(state.grid.midpoints)
     return MacroState(grid=state.grid, u=state.u, alpha=alpha, mass_plus=alpha * rho * dx,
                       mass_minus=(1.0 - alpha) * rho * dx, rho_plus=rho, rho_minus=rho.copy())
+
+
+def split_runs():
+    """Every run started under it splits its cell-wise phases into two halves,
+    whatever its J and the host's CPU count."""
+    return patch.multiple(stepping, _SPLIT_MIN=0, _two_cpus=lambda: True)
+
+
+def maybe_split(split):
+    return split_runs() if split else nullcontext()
 
 
 def public_run(config, datum):
@@ -87,22 +107,37 @@ STIFF = {"gamma_minus": 5.0, "K_minus": 10.0, "mu_plus": 0.1, "mu_minus": 0.0010
 
 
 # a stiff macro run whose relaxation retries exhaust one halving, a stiff
-# pure-cell macro run and a meso run that reach t_end
+# pure-cell macro run and a meso run that reach t_end; then split runs of
+# these, of an odd macro J and of the smallest J
 @example(scheme="macro", half_J=12, t_end=0.01, weighting="cross", stiff=True, pure=False,
-         max_halvings=1, mu_plus=0.1, mu_minus=0.02)
+         max_halvings=1, mu_plus=0.1, mu_minus=0.02, split=False, odd=False)
 @example(scheme="macro", half_J=12, t_end=0.01, weighting="paper", stiff=True, pure=True,
-         max_halvings=40, mu_plus=0.1, mu_minus=0.02)
+         max_halvings=40, mu_plus=0.1, mu_minus=0.02, split=False, odd=False)
 @example(scheme="meso", half_J=12, t_end=0.01, weighting="cross", stiff=True, pure=False,
-         max_halvings=40, mu_plus=0.1, mu_minus=0.02)
+         max_halvings=40, mu_plus=0.1, mu_minus=0.02, split=False, odd=False)
+@example(scheme="macro", half_J=12, t_end=0.01, weighting="cross", stiff=True, pure=False,
+         max_halvings=1, mu_plus=0.1, mu_minus=0.02, split=True, odd=True)
+@example(scheme="macro", half_J=12, t_end=0.01, weighting="paper", stiff=True, pure=True,
+         max_halvings=40, mu_plus=0.1, mu_minus=0.02, split=True, odd=False)
+@example(scheme="meso", half_J=12, t_end=0.01, weighting="cross", stiff=True, pure=False,
+         max_halvings=40, mu_plus=0.1, mu_minus=0.02, split=True, odd=False)
+@example(scheme="meso", half_J=2, t_end=0.01, weighting="cross", stiff=False, pure=False,
+         max_halvings=40, mu_plus=0.1, mu_minus=0.02, split=True, odd=False)
+@example(scheme="macro", half_J=2, t_end=0.01, weighting="cross", stiff=True, pure=True,
+         max_halvings=40, mu_plus=0.1, mu_minus=0.02, split=True, odd=False)
 @settings(max_examples=30, deadline=None)
 @given(scheme=st.sampled_from(("meso", "macro")), half_J=st.integers(2, 24),
        t_end=st.floats(1e-4, 0.01), weighting=st.sampled_from(("cross", "paper")),
        stiff=st.booleans(), pure=st.booleans(),
        max_halvings=st.one_of(st.integers(0, 3), st.just(stepping.MAX_HALVINGS)),
-       mu_plus=st.floats(1e-3, 1.0), mu_minus=st.floats(1e-3, 1.0))
+       mu_plus=st.floats(1e-3, 1.0), mu_minus=st.floats(1e-3, 1.0), split=st.booleans(),
+       odd=st.booleans())
 def test_runner_equals_the_public_steps_bit_for_bit(scheme, half_J, t_end, weighting, stiff,
-                                                   pure, max_halvings, mu_plus, mu_minus):
-    overrides = {"scheme": scheme, "cells": 2 * half_J, "t_end": t_end,
+                                                   pure, max_halvings, mu_plus, mu_minus,
+                                                   split, odd):
+    # the public steps run whole arrays; a split runner must give the same bits
+    overrides = {"scheme": scheme, "cells": 2 * half_J + (odd and scheme == "macro"),
+                 "t_end": t_end,
                  "weighting": weighting, "mu_plus": mu_plus, "mu_minus": mu_minus,
                  "cadence": 3, **(STIFF if stiff else {})}
     config = parse_config("test2", overrides)
@@ -113,7 +148,8 @@ def test_runner_equals_the_public_steps_bit_for_bit(scheme, half_J, t_end, weigh
           patch.object(macro, "init_macro_riemann", macro_datum),
           np.errstate(over="ignore", invalid="ignore")):
         want = outcome(lambda: public_run(config, datum))
-        got = outcome(lambda: runner(config))
+        with maybe_split(split):
+            got = outcome(lambda: runner(config))
     assert_same_state(got, want)
 
 
@@ -125,23 +161,32 @@ def test_runner_frees_the_initial_state_after_the_first_step(scheme, module, run
     # a runner frame that kept the initial state would hold a second copy
     # of every field for the whole run, which costs memory at large J
     init, step = getattr(module, f"init_{scheme}_riemann"), getattr(module, f"step_{scheme}")
-    initial, calls = [], []
+    initial, arrays, calls = [], [], []
 
     def kept(*args):
         state = init(*args)
         initial.append(weakref.ref(state))
+        arrays.extend(weakref.ref(a) for a in state_arrays(state).values())
         return state
 
-    def checked(*args, **kwargs):
+    def checked(state, *args, **kwargs):
         calls.append(1)
         if len(calls) >= 2:
             assert initial[0]() is None, "the initial state outlived its step"
-        return step(*args, **kwargs)
+            # and so did each of its arrays but those every state carries
+            carried = [id(a) for a in state_arrays(state).values()]
+            assert all(a() is None or id(a()) in carried for a in arrays)
+        return step(state, *args, **kwargs)
 
     monkeypatch.setattr(module, f"init_{scheme}_riemann", kept)
     monkeypatch.setattr(module, f"step_{scheme}", checked)
-    state, _ = runner(parse_config("test2", {"scheme": scheme, "cells": 16, "t_end": 5e-4}))
-    assert len(initial) == 1 and len(calls) >= 3 and state.t == 5e-4
+    for split in (False, True):  # nor may the helper thread keep it
+        for kept_so_far in (initial, arrays, calls):
+            kept_so_far.clear()
+        with maybe_split(split):
+            state, _ = runner(parse_config("test2", {"scheme": scheme, "cells": 16,
+                                                     "t_end": 5e-4}))
+        assert len(initial) == 1 and len(calls) >= 3 and state.t == 5e-4
 
 
 def state_arrays(state):
@@ -368,6 +413,8 @@ def test_a_public_step_fails_as_a_run_s_first_step(scheme, faults):
     want = failure_of_step(scheme, faults, run_path=True)
     assert want is not None
     assert failure_of_step(scheme, faults, run_path=False) == want
+    with split_runs():  # and so does a run's step on two halves
+        assert failure_of_step(scheme, faults, run_path=True) == want
 
 
 def poisoned(fill):
@@ -391,18 +438,27 @@ def run_outcome(runner, config):
 
 
 @example(scheme="macro", half_J=24, t_end=0.01, weighting="paper", stiff=True, pure=True,
-         max_halvings=1, fill=np.nan)
+         max_halvings=1, fill=np.nan, split=False, odd=False)
 @example(scheme="meso", half_J=24, t_end=0.01, weighting="cross", stiff=True, pure=False,
-         max_halvings=0, fill=1e300)
+         max_halvings=0, fill=1e300, split=False, odd=False)
+@example(scheme="macro", half_J=24, t_end=0.01, weighting="paper", stiff=True, pure=True,
+         max_halvings=1, fill=np.nan, split=True, odd=True)
+@example(scheme="meso", half_J=24, t_end=0.01, weighting="cross", stiff=True, pure=False,
+         max_halvings=0, fill=1e300, split=True, odd=False)
+@example(scheme="macro", half_J=2, t_end=0.01, weighting="cross", stiff=True, pure=False,
+         max_halvings=1, fill=-7.0, split=True, odd=False)
 @settings(max_examples=25, deadline=None)
 @given(scheme=st.sampled_from(("meso", "macro")), half_J=st.integers(2, 24),
        t_end=st.floats(1e-4, 0.01), weighting=st.sampled_from(("cross", "paper")),
        stiff=st.booleans(), pure=st.booleans(), max_halvings=st.integers(0, 3),
-       fill=st.sampled_from((np.nan, 1e300, -7.0)))
+       fill=st.sampled_from((np.nan, 1e300, -7.0)), split=st.booleans(), odd=st.booleans())
 def test_a_run_reads_no_workspace_memory_it_has_not_written(scheme, half_J, t_end, weighting,
-                                                            stiff, pure, max_halvings, fill):
-    config = parse_config("test2", {"scheme": scheme, "cells": 2 * half_J, "t_end": t_end,
-                                    "weighting": weighting, "cadence": 3,
+                                                            stiff, pure, max_halvings, fill,
+                                                            split, odd):
+    # a split run's halves read no row of the other half before it is written either
+    config = parse_config("test2", {"scheme": scheme,
+                                    "cells": 2 * half_J + (odd and scheme == "macro"),
+                                    "t_end": t_end, "weighting": weighting, "cadence": 3,
                                     **(STIFF if stiff else {})})
     runner = run_meso if scheme == "meso" else run_macro
     with (patch.object(stepping, "MAX_HALVINGS", max_halvings),
@@ -411,8 +467,96 @@ def test_a_run_reads_no_workspace_memory_it_has_not_written(scheme, half_J, t_en
           np.errstate(over="ignore", invalid="ignore")):
         want, want_records = run_outcome(runner, config)
         with (patch.object(meso, "_workspace", poisoned(fill)),
-              patch.object(macro, "_workspace", poisoned(fill))):
+              patch.object(macro, "_workspace", poisoned(fill)), maybe_split(split)):
             got, got_records = run_outcome(runner, config)
     assert_same_state(got, want)
     if want_records is not None:
         assert np.array_equal(got_records, want_records, equal_nan=True)
+
+
+# The split: from stepping._SPLIT_MIN cells on, on two or more CPUs, a run
+# steps each cell-wise phase on two halves at once, one in a helper thread.
+
+
+def test_a_run_splits_from_the_size_constant_on_two_cpus():
+    # under `taskset -c 0` no run splits, whatever its size
+    two = len(os.sched_getaffinity(0)) >= 2
+    assert stepping._two_cpus() == two
+    n = stepping._SPLIT_MIN
+    assert stepping._split_point(n) == (n // 2 if two else None)
+    assert stepping._split_point(n - 1) is None
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("half", ("caller", "helper"))
+def test_a_failing_phase_fails_the_run_and_the_next_run_finishes(half):
+    config = parse_config("test2", {"scheme": "macro", "cells": 17, "t_end": 2e-3})
+    update = macro._update
+
+    def failing(left, right, *args):
+        if (left == -1) == (half == "caller"):
+            raise Boom(half)
+        return update(left, right, *args)
+
+    with split_runs(), np.errstate(over="ignore", invalid="ignore"):
+        want, _ = run_macro(config)
+        threads = threading.active_count()
+        for _ in range(3):
+            with patch.object(macro, "_update", failing), pytest.raises(Boom, match=half):
+                run_macro(config)
+            got, _ = run_macro(config)
+            assert_same_state(got, want)
+            assert threading.active_count() == threads
+
+
+def test_a_phase_runs_in_the_caller_s_errstate():
+    # dp = p[j+1] - p[j] overflows in the second half alone, the helper's; it
+    # sees the caller's numpy errstate, and its error reaches the caller
+    p = np.array([1.0] * 4 + [1e308, -1e308] * 2)
+    phase = stepping._cells(4, stepping._pressure_difference, 3, (np.minimum, np.maximum))
+    args = (-1, 0, p, p, False, p, np.empty(8), np.ones(8), p, np.zeros(8))
+    with np.errstate(over="ignore"):  # else a RuntimeWarning, an error here
+        phase(*args)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        phase(*args)
+
+
+def test_a_split_run_fails_on_an_overflowing_law_as_a_whole_one(tmp_path, capsys):
+    # the CLI's exit-1 config, under the error::RuntimeWarning filter: a split
+    # run ends with the serial run's exit code, FAILED marker and message
+    config = json.dumps({"preset": "test2", "cells": 20, "K_minus": 1e308, "t_end": 0.001})
+    outcomes = []
+    for split in (False, True):
+        out = tmp_path / str(split)
+        with maybe_split(split):
+            code = main(["run", config, "--out", str(out)])
+        outcomes.append((code, (out / "FAILED").read_text(), capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1] == (
+        1, "cell pressures are not all finite\n",
+        "solver failure: cell pressures are not all finite\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helper():
+    config = parse_config("test2", {"scheme": "macro", "cells": 17, "t_end": 2e-3})
+    with split_runs(), np.errstate(over="ignore", invalid="ignore"):
+        want, _ = run_macro(config)  # the parent's helper is running
+        pid = os.fork()
+        if pid == 0:  # the child: its copy of the helper has no thread
+            code = 1
+            try:
+                got, _ = run_macro(config)
+                code = 0 if np.array_equal(got.alpha, want.alpha) else 2
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's run hung")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
