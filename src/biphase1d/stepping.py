@@ -42,9 +42,9 @@ CFL_THETA = 0.4
 # roll gives for shifts -1 and 1 (and a minus the latter), without roll's
 # general path, which costs several times as much at J = 1000.
 
-def right_neighbour(a, out=None):
-    """Entry j holds a[j + 1 mod n]; into ``out`` if given."""
-    out = np.empty_like(a) if out is None else out
+def right_neighbour(a):
+    """Entry j holds a[j + 1 mod n]."""
+    out = np.empty_like(a)
     out[:-1] = a[1:]
     out[-1] = a[0]
     return out
@@ -58,9 +58,9 @@ def left_neighbour(a):
     return out
 
 
-def back_difference(a, out=None):
-    """Entry j holds a[j] - a[j - 1 mod n]; into ``out`` if given."""
-    return _back_difference(a, a[-1], np.empty_like(a) if out is None else out)
+def back_difference(a):
+    """Entry j holds a[j] - a[j - 1 mod n]."""
+    return _back_difference(a, a[-1], np.empty_like(a))
 
 
 def _back_difference(a, left, out):
@@ -266,89 +266,62 @@ def _cells(split, body, shared, combine):
     segment of the run's cells: ``left`` and ``right`` index the cells
     beside its ends in arrays of the run's length, wrapping periodically, so
     a caller passes -1 and 0; the first ``shared`` args are passed whole to
-    each half, and the rest are arrays of the segment."""
+    each half, and the rest are arrays of the segment.  A half must never
+    start a split phase: it would wait on its own job queue."""
     if split is None:
         return body
 
     def halves(_, __, *args):
         whole, parts = args[:shared], args[shared:]
         n = parts[0].shape[0]
-        first = body, (-1, split - n, *whole, *(a[:split] for a in parts))
-        second = body, (split - 1, 0, *whole, *(a[split:] for a in parts))
-        helper = _helper()
-        if helper.idle.acquire(blocking=False):
-            mine, theirs = helper.pair(first, second)
-        else:  # the helper is busy with another thread's run
-            mine, theirs = first[0](*first[1]), second[0](*second[1])
+        mine, theirs = _pair((-1, split - n, *whole, *(a[:split] for a in parts)),
+                             (split - 1, 0, *whole, *(a[split:] for a in parts)), body)
         return combine and tuple(f(a, b) for f, a, b in zip(combine, mine, theirs))
     return halves
 
 
-class _Helper:
-    """One daemon thread that runs the second half of a phase while the caller
-    runs the first.  ``idle`` is held by the caller whose phase it runs."""
-
-    def __init__(self):
-        self.idle = threading.Lock()
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = self._outcome = None
-        threading.Thread(target=self._serve, name="biphase1d-half", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            context, (body, args) = self._job
-            self._job = None
-            try:
-                self._outcome = False, context.run(body, *args)
-            except BaseException as failure:
-                self._outcome = True, failure
-            del context, body, args  # hold no array between phases
-            self._done.release()
-
-    def pair(self, first, second):
-        """(first's result, second's result), second run in the thread in a
-        copy of the caller's context (numpy's errstate lives there); an
-        exception of either is raised here, after both have finished."""
-        self._job = contextvars.copy_context(), second
-        self._go.release()
-        try:
-            mine = first[0](*first[1])
-        finally:
-            try:
-                self._done.acquire()
-            except BaseException:  # interrupted while the thread may still run
-                _forget_helper()
-                raise
-            failed, theirs = self._outcome
-            self._outcome = None
-            self.idle.release()
-        if failed:
-            raise theirs
-        return mine, theirs
-
-
-_HELPER = []
-
-
-def _helper():
-    """The process's helper, started at its first use."""
-    if not _HELPER:
-        _HELPER.append(_Helper())
-    return _HELPER[0]
-
-
-def _forget_helper():
-    """Drop the helper: after a fork it has no thread, and after an
-    interrupted phase its thread may still be running; the next use starts
-    another."""
-    _HELPER.clear()
-
-
+# the job queue of the process's helper thread, made at its first split phase;
+# a forked child has no helper thread, so its first split phase starts one
+_JOBS = []
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    os.register_at_fork(after_in_child=_JOBS.clear)
+
+
+def _serve(jobs):
+    """The helper thread: runs each job's body in the job's context and puts
+    (failed, result or exception) on the job's reply queue."""
+    while True:
+        context, body, args, reply = jobs.get()
+        try:
+            outcome = False, context.run(body, *args)
+        except BaseException as failure:
+            outcome = True, failure
+        reply.put(outcome)
+        del context, body, args, reply, outcome  # hold no array between phases
+
+
+def _pair(first, second, body):
+    """(body(*first), body(*second)), the second run in the helper thread in a
+    copy of the caller's context (numpy's errstate lives there); an exception
+    of either is raised here, after both have finished.  Each pair has its
+    own reply queue, so a wait that an interrupt ends leaves the helper's
+    reply on a queue nobody reads, and later pairs queue behind that half."""
+    import queue  # only a split run needs it
+    if not _JOBS:
+        jobs = queue.SimpleQueue()
+        _JOBS.append(jobs)
+        if _JOBS[0] is jobs:  # of threads that get here at once, one starts the helper
+            threading.Thread(target=_serve, args=(jobs,), name="biphase1d-half",
+                             daemon=True).start()
+    reply = queue.SimpleQueue()
+    _JOBS[0].put((contextvars.copy_context(), body, second, reply))
+    try:
+        mine = body(*first)
+    finally:
+        failed, theirs = reply.get()
+    if failed:
+        raise theirs
+    return mine, theirs
 
 
 def _pressure_difference(left, right, p_all, u_all, fresh, p_cells, dp, cell_dx, u_old, du):

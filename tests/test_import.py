@@ -61,17 +61,17 @@ def test_run_experiment_loads_no_numpy_ma(tmp_path):
 
 
 def test_import_and_a_small_run_start_no_thread():
-    # the helper thread of a split run starts at the first split phase, and a
-    # run below stepping._SPLIT_MIN cells never splits
+    # the helper thread of a split run and its job queue start at the first
+    # split phase, and a run below stepping._SPLIT_MIN cells never splits
     env = {**os.environ, "PYTHONPATH": str(Path(biphase1d.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import threading, biphase1d; n = threading.active_count(); "
+         "import sys, threading, biphase1d; n = threading.active_count(); "
          "config = biphase1d.parse_config('test2', {'cells': 40, 't_end': 0.002}); "
          "biphase1d.run_meso(config); biphase1d.run_macro(config); "
-         "print(n, threading.active_count())"],
+         "print(n, threading.active_count(), 'queue' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.split() == ["1", "1"]
+    assert proc.stdout.split() == ["1", "1", "False"]
 
 
 def test_every_exported_name_resolves():

@@ -20,9 +20,13 @@ on two or more CPUs, a run steps each cell-wise phase on two halves at once.
 bits, fail the same way and leave no thread or array behind.
 """
 
+import copy
 import dataclasses
 import json
+import operator
 import os
+import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -34,6 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from biphase1d import macro, meso, stepping
 from biphase1d.cli import main, parse_config
@@ -487,6 +492,13 @@ def test_a_run_splits_from_the_size_constant_on_two_cpus():
     assert stepping._split_point(n - 1) is None
 
 
+@pytest.mark.parametrize("count, two", ((None, False), (1, False), (2, True)))
+def test_two_cpus_without_affinity_reads_the_cpu_count(count, two, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert stepping._two_cpus() is two
+
+
 class Boom(Exception):
     pass
 
@@ -560,3 +572,194 @@ def test_a_forked_child_starts_its_own_helper():
             pytest.fail("the forked child's run hung")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_an_interrupted_wait_leaves_the_helper_in_place():
+    # SIGINT lands while the caller waits for the helper's half of a phase;
+    # the helper finishes that half later, and the next runs use the same thread
+    config = parse_config("test2", {"scheme": "macro", "cells": 17, "t_end": 2e-3})
+    update = macro._update
+    main = threading.get_ident()
+    interrupted = threading.Event()
+
+    def once(*_):
+        # a signal that arrives as the caller starts to wait sets only
+        # Python's flag, so the timer sends more until one interrupts
+        if not interrupted.is_set():
+            interrupted.set()
+            raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGINT, once)
+    try:
+        with split_runs(), np.errstate(over="ignore", invalid="ignore"):
+            want, _ = run_macro(config)  # the helper is running
+            threads = threading.active_count()
+            for _ in range(3):
+                started, mine_done, release = (threading.Event() for _ in range(3))
+                interrupted.clear()
+
+                def held(left, right, *args):
+                    if left == -1:  # the caller's half
+                        result = update(left, right, *args)
+                        mine_done.set()
+                        return result
+                    started.set()
+                    release.wait(10)
+                    return update(left, right, *args)
+
+                def interrupt():
+                    if started.wait(10) and mine_done.wait(10):
+                        while not interrupted.is_set():
+                            signal.pthread_kill(main, signal.SIGINT)
+                            interrupted.wait(0.1)
+
+                timer = threading.Thread(target=interrupt)
+                timer.start()
+                try:
+                    with patch.object(macro, "_update", held), pytest.raises(KeyboardInterrupt):
+                        run_macro(config)
+                finally:
+                    release.set()
+                    timer.join(30)
+                assert not timer.is_alive()
+                got, _ = run_macro(config)
+                assert_same_state(got, want)
+                assert threading.active_count() == threads
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
+def test_concurrent_split_runs_give_the_serial_bits():
+    # the main thread and two others, more than the CPUs here, share the one
+    # helper thread, with thread switches far more often than by default
+    config = parse_config("test2", {"scheme": "macro", "cells": 17, "t_end": 2e-3})
+    results = {name: [] for name in ("main", "a", "b")}
+
+    def runs(name):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(20):
+                results[name].append(run_macro(config)[0])
+
+    interval = sys.getswitchinterval()
+    with split_runs():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, _ = run_macro(config)
+        threads = threading.active_count()
+        others = [threading.Thread(target=runs, args=(name,)) for name in ("a", "b")]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in others:
+                thread.start()
+            runs("main")
+            for thread in others:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in others)
+    assert threading.active_count() == threads
+    for got in results.values():
+        assert len(got) == 20
+        for state in got:
+            assert_same_state(state, want)
+
+
+# Each cell-wise phase on two halves against the whole-array pass: the same
+# bits in every row the caller reads and in every returned value.
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def row(data, n, lo, hi):
+    return data.draw(arrays(np.float64, n, elements=floats(lo, hi)))
+
+
+def widths(data, n):
+    """The node positions and cell widths of a random grid of the unit torus."""
+    w = row(data, n, 0.1, 1.0)
+    grid = stepping.StaggeredGrid(np.cumsum(w) * (1.0 / w.sum()))
+    return grid.node_x, grid.cell_dx
+
+
+def within(u_new, du, new_x, new_dx, dt, limit):
+    return bool(np.logical_and.reduce(np.abs(du) <= limit))
+
+
+# each phase: body, shared, combine, and its arguments after (left, right)
+# with the positions among them of the rows the caller reads
+def pressure_difference_case(data, n):
+    p, u_old, (_, dx) = row(data, n, -10.0, 10.0), row(data, n, -1.0, 1.0), widths(data, n)
+    args = (p, u_old, data.draw(st.booleans()), p, np.empty(n), dx, u_old,
+            row(data, n, -1.0, 1.0))
+    return (stepping._pressure_difference, 3, (np.minimum, np.maximum)), args, (4, 7)
+
+
+def assemble_case(data, n):
+    _, dx = widths(data, n)
+    mu = row(data, n, 0.0, 1.0)
+    args = (data.draw(floats(1e-4, 1.0)), mu, dx, dx, row(data, n, -1.0, 1.0), mu,
+            row(data, n, -10.0, 10.0), row(data, n, 1e-3, 1.0), np.empty(n), np.empty(n),
+            np.empty(n))
+    return (stepping._assemble, 3, ()), args, (8, 9, 10)
+
+
+def move_case(data, n):
+    node_x, dx = widths(data, n)
+    u_new = row(data, n, -1.0, 1.0)
+    accept, cells = data.draw(st.sampled_from(((None, ()), (within, (row(data, n, 0.0, 2.0),)))))
+    args = (data.draw(floats(1e-4, 1.0)), 1.0, u_new, node_x, accept, u_new, node_x,
+            np.empty(n), np.empty(n), np.empty(n), dx, row(data, n, 1e-3, 1.0),
+            row(data, n, 0.0, 1.0), np.empty(n), *cells)
+    return ((stepping._move, 5, (np.minimum, operator.and_, np.minimum, np.maximum)), args,
+            (7, 8, 9, 13))
+
+
+def relaxation_case(data, n):
+    mat = MaterialPair(PowerLaw(1.0, 1.0), PowerLaw(1.0, 1.0), data.draw(floats(1e-3, 1.0)),
+                       data.draw(floats(1e-3, 1.0)))
+    alpha = data.draw(arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from((0.0, 1.0)), floats(0.0, 1.0))))
+    u, (_, dx) = row(data, n, -1.0, 1.0), widths(data, n)
+    args = (mat, data.draw(st.booleans()), 0 < alpha.min() and alpha.max() < 1, u, alpha,
+            row(data, n, 0.0, 10.0), row(data, n, 0.0, 10.0), *(np.empty(n) for _ in range(5)),
+            u, np.empty(n), dx, np.empty(n))
+    return (macro._relaxation, 4, (np.minimum,)), args, (7, 8, 9, 10, 11, 13, 15)
+
+
+def update_case(data, n):
+    _, dx = widths(data, n)
+    alpha = data.draw(arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from((0.0, 1e-13, 1.0)), floats(0.0, 1.0))))
+    args = (alpha, row(data, n, -0.5, 0.5), row(data, n, 0.0, 1.0), row(data, n, 0.0, 1.0), dx,
+            row(data, n, 0.1, 10.0), row(data, n, 0.1, 10.0), np.empty(n), np.empty(n),
+            np.empty(n))
+    return (macro._update, 0, (operator.add, operator.add)), args, (1, 7, 8)
+
+
+def same_value(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", (pressure_difference_case, assemble_case, move_case,
+                                  relaxation_case, update_case),
+                         ids=lambda case: case.__name__.removesuffix("_case"))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_phase_on_two_halves_gives_the_whole_pass_s_bits(case, data):
+    n = data.draw(st.integers(4, 24), label="n")
+    split = data.draw(st.integers(1, n - 1), label="split")
+    (body, shared, combine), args, read = case(data, n)
+    calls = [(stepping._cells(s, body, shared, combine), copy.deepcopy(args))
+             for s in (split, None)]
+    with np.errstate(over="ignore"):
+        (got, got_args), (want, want_args) = ((phase(-1, 0, *a), a) for phase, a in calls)
+    if body is stepping._move:  # (least, ok), and the rest only where ok
+        assert same_value(got[:2], want[:2])
+        if not want[1]:
+            return
+    if combine:  # else the caller uses no returned value
+        assert len(got) == len(want) and all(map(same_value, got, want))
+    for i in read:
+        assert same_value(got_args[i], want_args[i]), i
