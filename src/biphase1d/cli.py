@@ -503,6 +503,8 @@ def run_sweep(source, cells_list, out_dir, overrides=None):
     and a ``sweep.dat`` left by an earlier sweep is deleted before the
     first one, as a failing resolution ends the sweep without writing it.
     """
+    if not cells_list:
+        raise ConfigError("a sweep needs at least one resolution, got an empty cell list")
     out = Path(out_dir)
     overrides = overrides or {}
     probe = parse_config(source, overrides={**overrides, "cells": min(cells_list)})

@@ -105,7 +105,7 @@ def _run_constants(state):
     state, checked."""
     cell_mass = state.cell_mass
     n = cell_mass.size
-    return cell_mass, node_mass(cell_mass), _workspace(n, 4), _split_point(n)
+    return cell_mass, node_mass(cell_mass), _workspace(n, 5), _split_point(n)
 
 
 def _rate(du, dx, dmu, dp, k, out):
@@ -167,16 +167,15 @@ def step_macro(state, mat, weighting, dt_limit, *, context=None):
     without it makes them, and fails, as that step does.
     """
     cell_mass, m_node, work, split = context or _run_constants(state)
-    _, du, off, scratch, _, mu_cells, k, dp, bound = work
+    du, _, scratch, _, mu_cells, k, dp, bound, p_cells = work
     alpha, all_mixed, p_plus, p_minus = _homogenized_inputs(
         state.alpha, mat.law_plus.pressure(state.rho_plus),
         mat.law_minus.pressure(state.rho_minus), weighting)
     d_alpha = np.empty_like(bound)  # the relaxation's dt limit, an increment, then the new alpha
     dmu = mat.mu_plus - mat.mu_minus
-    # p_eff into the kernel's off, which it reads before writing
     cap, = _cells(split, _relaxation, 4, (np.minimum,))(
         -1, 0, mat, weighting == WEIGHTING_CROSS, all_mixed, state.u,
-        alpha, p_plus, p_minus, off, mu_cells, k, dp, bound, state.u, du, state.grid.cell_dx,
+        alpha, p_plus, p_minus, p_cells, mu_cells, k, dp, bound, state.u, du, state.grid.cell_dx,
         d_alpha)
     del p_plus, p_minus  # the attempts need only k and dp
     # dt_limit first: a NaN one then reaches the kernel's check
@@ -188,7 +187,7 @@ def step_macro(state, mat, weighting, dt_limit, *, context=None):
         return bool(np.logical_and.reduce(np.abs(increment, out=scratch) <= bound))
 
     dt, grid, u, dissipation, _ = _advance(state.grid, state.u, du, cell_mass, m_node, mu_cells,
-                                           off, cap, work, split, accept=within_bound,
+                                           p_cells, cap, work, split, accept=within_bound,
                                            accept_cells=(dp, k, d_alpha, scratch, bound))
 
     rho_p, rho_m = np.empty_like(d_alpha), np.empty_like(d_alpha)

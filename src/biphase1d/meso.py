@@ -88,7 +88,7 @@ def step_meso(state, mat, dt_limit, *, context=None):
     np.where in the caller: written into the halves of an array, they cost
     as much as the whole np.where saves."""
     m_node, mu_cells, plus, work, split = context or _run_constants(state, mat)
-    rho = np.divide(state.cell_mass, state.grid.cell_dx, out=work[3])
+    rho = np.divide(state.cell_mass, state.grid.cell_dx, out=work[2])
     # a pure cell reads only its own phase's law, as in mixture_pressure
     p_cells = np.where(plus, mat.law_plus.pressure(rho), mat.law_minus.pressure(rho))
     dt, grid, u, dissipation, _ = _advance(state.grid, state.u, None, state.cell_mass, m_node,

@@ -159,17 +159,20 @@ def assemble_momentum(grid, u_old, mu_cells, p_cells, node_mass, dt):
         raise ValueError("viscosities must be >= 0")
     system = tuple(np.empty(grid.J) for _ in range(3))
     mu = np.broadcast_to(mu, (grid.J,))
-    _assemble(-1, 0, dt, mu, grid.cell_dx, grid.cell_dx, np.asarray(u_old, dtype=float), mu,
-              right_neighbour(p) - p, node_mass, *system)
+    _assemble(-1, 0, dt, mu, grid.cell_dx, p, grid.cell_dx, np.asarray(u_old, dtype=float), mu,
+              p, node_mass, *system)
     return system
 
 
-def _assemble(left, right, dt, mu_all, dx_all, cell_dx, u_old, mu, dp, m_node, diag, off, rhs):
+def _assemble(left, right, dt, mu_all, dx_all, p_all, cell_dx, u_old, mu, p, m_node, diag, off,
+              rhs):
     """assemble_momentum's rows of a segment into diag, off and rhs, with
-    dp = right_neighbour(p) - p; the segment's last off entry reads the
-    next cell, ``right`` in mu_all and dx_all, from those inputs."""
+    p[j+1] - p[j] passing through off; the segment's last row reads the next
+    cell, ``right`` in mu_all, dx_all and p_all, from those inputs."""
     np.multiply(m_node, u_old, out=rhs)
-    rhs -= np.multiply(dp, dt, out=off)
+    np.subtract(p[1:], p[:-1], out=off[:-1])
+    off[-1] = p_all[right] - p[-1]
+    rhs -= np.multiply(off, dt, out=off)
     w_left = np.multiply(mu, dt, out=diag)
     w_left /= cell_dx
     # off = -w_right; the next cell's w_left with the same two roundings
@@ -222,10 +225,10 @@ def lagrangian_step(grid, u_old, cell_mass, mu_cells, p_cells, dt_limit, accept=
 
 
 def _workspace(n, extra=0):
-    """A run's scratch rows of n doubles: _advance's dp, du, off, diag and b,
-    the solve's Fortran-ordered (n, 2) view of two rows; then ``extra``."""
-    block = np.empty((6 + extra, n))
-    return (*block[:4], block[4:6].T, *block[6:])
+    """A run's scratch rows of n doubles: _advance's du, off, diag and b, the
+    solve's Fortran-ordered (n, 2) view of two rows; then ``extra``."""
+    block = np.empty((5 + extra, n))
+    return (*block[:3], block[3:5].T, *block[5:])
 
 
 # The two halves of a run's cell-wise phases.  From _SPLIT_MIN cells on, on
@@ -324,12 +327,9 @@ def _pair(first, second, body):
     return mine, theirs
 
 
-def _pressure_difference(left, right, p_all, u_all, fresh, p_cells, dp, cell_dx, u_old, du):
-    """dp = right_neighbour(p) - p of a segment, its least width and its
-    largest |du|, which overwrites du; with ``fresh``, du is first made as
-    the back difference of u_old."""
-    np.subtract(p_cells[1:], p_cells[:-1], out=dp[:-1])
-    dp[-1] = p_all[right] - p_cells[-1]
+def _extent(left, right, u_all, fresh, cell_dx, u_old, du):
+    """A segment's least width and largest |du|, which overwrites du; with
+    ``fresh``, du is first made as the back difference of u_old."""
     if fresh:
         _back_difference(u_old, u_all[left], du)
     return np.minimum.reduce(cell_dx), np.maximum.reduce(np.abs(du, out=du))
@@ -372,30 +372,28 @@ def _advance(grid, u_old, du_old, cell_mass, m_node, mu_cells, p_cells, dt_limit
     _cells).  ``accept(u_new, du_new, new_x, new_dx, dt, *accept_cells)``,
     or None, may use diag; it sees the matching segment of every array,
     accept_cells included, and returns a bool.  Every temporary goes into
-    ``work``; du_old and p_cells may be its du, off or diag, as both are
-    read before those are written."""
+    ``work``; du_old, which the step overwrites, may be its du.  No row of
+    ``work`` may hold p_cells: every attempt's assembly reads them."""
     if not np.logical_and.reduce(np.isfinite(p_cells)):
         raise StepFailure("cell pressures are not all finite")
     if not 0 < dt_limit < np.inf:
         raise ValueError("dt_limit must be > 0 and finite")
 
-    dp, du, off, diag, b = work[:5]
+    du, off, diag, b = work[:4]
     dx = grid.cell_dx
-    # dt does not enter dp, so the attempts share it
-    min_dx, max_du = _cells(split, _pressure_difference, 3, (np.minimum, np.maximum))(
-        -1, 0, p_cells, u_old, du_old is None,
-        p_cells, dp, dx, u_old, du if du_old is None else du_old)
+    min_dx, max_du = _cells(split, _extent, 2, (np.minimum, np.maximum))(
+        -1, 0, u_old, du_old is None, dx, u_old, du if du_old is None else du_old)
     dt = min(_cfl_dt(min_dx, max_du), dt_limit)
     if not dt > 0:  # a non-finite u_old
         raise ValueError("dt must be > 0")
 
-    n = dx.size
-    assemble = _cells(split, _assemble, 3, ())
+    assemble = _cells(split, _assemble, 4, ())
     move = _cells(split, _move, 5, (np.minimum, operator.and_, np.minimum, np.maximum))
     for halvings in range(MAX_HALVINGS + 1):
-        assemble(-1, 0, dt, mu_cells, dx, dx, u_old, mu_cells, dp, m_node, diag, off, b[:, 0])
+        assemble(-1, 0, dt, mu_cells, dx, p_cells, dx, u_old, mu_cells, p_cells, m_node, diag,
+                 off, b[:, 0])
         u_new = _solve(diag, off, b)
-        new_x, new_dx = np.empty(n), np.empty(n)
+        new_x, new_dx = np.empty_like(dx), np.empty_like(dx)
         # the densities into off, the dissipation terms into du
         least, ok, rho_min, rho_max = move(
             -1, 0, dt, grid.length, u_new, grid.node_x, accept,

@@ -229,6 +229,11 @@ class TestMain:
     def test_sweep_bad_cells_list(self, capsys):
         assert main(["sweep", "test1", "--cells", "16,banana"]) == 2
 
+    def test_sweep_of_an_empty_cell_list_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="empty cell list"):
+            run_sweep("test2", [], tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
     def test_sweep_shares_one_window_layout(self, tmp_path):
         # without an explicit coarse_K the sweep derives one K from the
         # smallest resolution and uses it everywhere

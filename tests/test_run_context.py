@@ -22,6 +22,7 @@ bits, fail the same way and leave no thread or array behind.
 
 import copy
 import dataclasses
+import inspect
 import json
 import operator
 import os
@@ -479,6 +480,40 @@ def test_a_run_reads_no_workspace_memory_it_has_not_written(scheme, half_J, t_en
         assert np.array_equal(got_records, want_records, equal_nan=True)
 
 
+@pytest.mark.parametrize("split", (False, True), ids=("whole", "split"))
+@pytest.mark.parametrize("scheme", ("meso", "macro"))
+def test_a_step_never_writes_the_pressures_it_is_given(scheme, split):
+    # every attempt's assembly reads the cell pressures, so none may pass
+    # through a workspace row; STIFF at J=40 makes steps of both schemes halve
+    module = meso if scheme == "meso" else macro
+    advance = stepping._advance
+    signature = inspect.signature(advance)
+    checks, halvings = [], []
+
+    def watched(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        p_cells, accept = call.arguments["p_cells"], call.arguments["accept"]
+        given = p_cells.copy()
+
+        def checked(*args):
+            checks.append(1)
+            assert p_cells.tobytes() == given.tobytes(), "an attempt wrote the pressures"
+            return accept is None or accept(*args)
+
+        call.arguments["accept"] = checked
+        result = advance(*call.args, **call.kwargs)
+        assert p_cells.tobytes() == given.tobytes(), "the step wrote the pressures"
+        halvings.append(result[-1])
+        return result
+
+    config = parse_config("test2", {"scheme": scheme, "cells": 40, "t_end": 0.01, **STIFF})
+    with (patch.object(module, "_advance", watched), maybe_split(split),
+          np.errstate(over="ignore", invalid="ignore")):
+        state, _ = (run_meso if scheme == "meso" else run_macro)(config)
+    assert state.t == 0.01 and max(halvings) > 0
+    assert len(checks) >= (1 + split) * len(halvings)
+
+
 # The split: from stepping._SPLIT_MIN cells on, on two or more CPUs, a run
 # steps each cell-wise phase on two halves at once, one in a helper thread.
 
@@ -525,11 +560,12 @@ def test_a_failing_phase_fails_the_run_and_the_next_run_finishes(half):
 
 
 def test_a_phase_runs_in_the_caller_s_errstate():
-    # dp = p[j+1] - p[j] overflows in the second half alone, the helper's; it
-    # sees the caller's numpy errstate, and its error reaches the caller
+    # the assembly's p[j+1] - p[j] overflows in the second half alone, the
+    # helper's; it sees the caller's numpy errstate, and its error reaches the caller
     p = np.array([1.0] * 4 + [1e308, -1e308] * 2)
-    phase = stepping._cells(4, stepping._pressure_difference, 3, (np.minimum, np.maximum))
-    args = (-1, 0, p, p, False, p, np.empty(8), np.ones(8), p, np.zeros(8))
+    phase = stepping._cells(4, stepping._assemble, 4, ())
+    args = (-1, 0, 1.0, np.zeros(8), np.ones(8), p, np.ones(8), np.zeros(8), np.zeros(8), p,
+            np.ones(8), np.empty(8), np.empty(8), np.empty(8))
     with np.errstate(over="ignore"):  # else a RuntimeWarning, an error here
         phase(*args)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -688,20 +724,18 @@ def within(u_new, du, new_x, new_dx, dt, limit):
 
 # each phase: body, shared, combine, and its arguments after (left, right)
 # with the positions among them of the rows the caller reads
-def pressure_difference_case(data, n):
-    p, u_old, (_, dx) = row(data, n, -10.0, 10.0), row(data, n, -1.0, 1.0), widths(data, n)
-    args = (p, u_old, data.draw(st.booleans()), p, np.empty(n), dx, u_old,
-            row(data, n, -1.0, 1.0))
-    return (stepping._pressure_difference, 3, (np.minimum, np.maximum)), args, (4, 7)
+def extent_case(data, n):
+    u_old, (_, dx) = row(data, n, -1.0, 1.0), widths(data, n)
+    args = (u_old, data.draw(st.booleans()), dx, u_old, row(data, n, -1.0, 1.0))
+    return (stepping._extent, 2, (np.minimum, np.maximum)), args, (4,)
 
 
 def assemble_case(data, n):
     _, dx = widths(data, n)
-    mu = row(data, n, 0.0, 1.0)
-    args = (data.draw(floats(1e-4, 1.0)), mu, dx, dx, row(data, n, -1.0, 1.0), mu,
-            row(data, n, -10.0, 10.0), row(data, n, 1e-3, 1.0), np.empty(n), np.empty(n),
-            np.empty(n))
-    return (stepping._assemble, 3, ()), args, (8, 9, 10)
+    mu, p = row(data, n, 0.0, 1.0), row(data, n, -10.0, 10.0)
+    args = (data.draw(floats(1e-4, 1.0)), mu, dx, p, dx, row(data, n, -1.0, 1.0), mu, p,
+            row(data, n, 1e-3, 1.0), np.empty(n), np.empty(n), np.empty(n))
+    return (stepping._assemble, 4, ()), args, (9, 10, 11)
 
 
 def move_case(data, n):
@@ -742,7 +776,7 @@ def same_value(got, want):
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", (pressure_difference_case, assemble_case, move_case,
+@pytest.mark.parametrize("case", (extent_case, assemble_case, move_case,
                                   relaxation_case, update_case),
                          ids=lambda case: case.__name__.removesuffix("_case"))
 @settings(max_examples=40, deadline=None)

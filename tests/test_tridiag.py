@@ -173,7 +173,11 @@ def test_solve_is_bit_identical_to_scipy_dptsv_with_the_corner_correction(build,
 
 
 def test_missing_flapack_is_an_import_error_naming_the_directory(tmp_path, monkeypatch):
-    monkeypatch.setattr(tridiag, "find_spec",
-                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
-    with pytest.raises(ImportError, match="_flapack not found in " + re.escape(str(tmp_path / "linalg"))):
-        tridiag._load_flapack()
+    # scipy's directory without the extension, then no scipy at all
+    for spec, message in (
+            (SimpleNamespace(submodule_search_locations=[str(tmp_path)]),
+             "_flapack not found in " + re.escape(str(tmp_path / "linalg"))),
+            (None, "^scipy not found$")):
+        monkeypatch.setattr(tridiag, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=message):
+            tridiag._load_flapack()
